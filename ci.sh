@@ -8,11 +8,13 @@ cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # Perf harness in smoke mode: asserts every kernel is bit-identical
-# across thread counts, that a 1% delta through `apply_delta` is
-# digest-equal to — and at least 5x cheaper than — a cold full rebuild,
-# and that an mmap snapshot cold start is at least 10x faster than a
-# rebuild with bit-identical replies (minimal time budget, no
-# BENCH_perf.json write).
+# across thread counts, that the cross-bipartite hitting-time sweep costs
+# at most 2x its floor of horizon x 3 plain layer SpMVs at the serving
+# shape (512 queries, 10 targets; median of interleaved call pairs), that
+# a 1% delta through `apply_delta` is digest-equal to — and at least 5x
+# cheaper than — a cold full rebuild, and that an mmap snapshot cold
+# start is at least 10x faster than a rebuild with bit-identical replies
+# (minimal time budget, no BENCH_perf.json write).
 cargo run --release -q -p pqsda-bench --bin perf -- --smoke
 # Serving smoke: 1-shard output asserted identical to the unsharded
 # engine, then a 2-shard server through a mid-stream ingest + swap,

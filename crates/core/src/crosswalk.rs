@@ -15,11 +15,15 @@ use pqsda_graph::bipartite::EntityKind;
 use pqsda_graph::compact::CompactMulti;
 use pqsda_graph::walk::two_step_transition;
 use pqsda_linalg::csr::CsrMatrix;
-use pqsda_parallel::{effective_threads, sweep_iterate};
+use pqsda_parallel::{effective_threads, sweep_iterate_staged};
 
-/// Work gate for the parallel hitting-time sweep (augmented-chain states
-/// weighted by nonzeros, per thread).
-const MIN_WORK_PER_THREAD: usize = 16_384;
+/// Work gate for the parallel hitting-time sweep, per thread. One sweep step
+/// reads every layer's nonzeros once and touches each of the `3q` states
+/// once, so `nnz + 3q` is the step's work. A step pays two barriers, so the
+/// gate is three times the single-barrier kernels' 16 384: at the serving
+/// shape (512 queries, 30–50k nonzeros) a second participant saved nothing
+/// on a 2-vCPU host.
+const MIN_WORK_PER_THREAD: usize = 49_152;
 
 /// A cross-bipartite walker over a compact representation.
 #[derive(Clone, Debug)]
@@ -95,6 +99,11 @@ impl CrossBipartiteWalk {
         &self.transitions[kind as usize]
     }
 
+    /// The cross-bipartite transition `N` (`n[x][y] = p(X_y | X_x)`).
+    pub fn cross_matrix(&self) -> [[f64; 3]; 3] {
+        self.n
+    }
+
     /// Truncated expected hitting time from every query to the target set
     /// `S` (Eq. 17), over the augmented `(bipartite, query)` chain with
     /// horizon `l`. The returned value per query averages the three
@@ -113,11 +122,25 @@ impl CrossBipartiteWalk {
     /// [`CrossBipartiteWalk::hitting_time`] with an explicit thread count
     /// (`0` = auto).
     ///
-    /// The augmented chain is flattened to a single `3q` state vector
-    /// (state `x·q + i` = bipartite `x`, query `i`) so the whole horizon
-    /// runs in one barrier-synchronized parallel region; the per-state
-    /// accumulation order matches the sequential nested loops exactly, so
-    /// results are bit-identical for any `threads`.
+    /// The augmented chain has `3q` states (state `x·q + i` = bipartite
+    /// `x`, query `i`) and transitions `P[(x,i)→(y,j)] = N[x][y]·P^y[i,j]`,
+    /// so one step is `h'(x,i) = 1 + Σ_y N[x][y]·g_y(i)` with `g_y(i) =
+    /// Σ_j P^y[i,j]·h(y,j)` (plus the row's slack `(1 − mass)·h(y,i)`).
+    /// `g_y(i)` does not depend on `x`, so each step runs in two phases:
+    /// phase 1 computes all `3q` values of `g` in one pass over each
+    /// layer's rows (two rows at a time, see `layer_moves`), phase 2
+    /// combines them per state. A step therefore costs one pass over every
+    /// layer's nonzeros plus `O(q)`, not three.
+    ///
+    /// Every state's value goes through the same f64 operations in the
+    /// same order as a per-state loop that recomputes `g_y(i)` for each
+    /// `x`: the row product in column order, then the slack, then the
+    /// `N`-weighted sum over `y = 0..2` skipping zero weights. Only where
+    /// and when `g_y(i)` is computed changes, not how, so the bits do not.
+    /// Both phases split their indices across the participants of one
+    /// barrier-synchronized region spanning the whole horizon (see
+    /// [`pqsda_parallel::sweep_iterate_staged`]), so results are
+    /// bit-identical for any `threads`.
     pub fn hitting_time_with_threads(
         &self,
         targets: &[usize],
@@ -155,43 +178,98 @@ impl CrossBipartiteWalk {
         let work = self.transitions.iter().map(|t| t.nnz()).sum::<usize>() + 3 * q;
         let threads = effective_threads(threads, work, MIN_WORK_PER_THREAD);
         // h[x*q + i]: hitting time from state (bipartite x, query i).
-        scratch.h.clear();
-        scratch.h.resize(3 * q, 0.0);
-        scratch.next.clear();
-        scratch.next.resize(3 * q, 0.0);
-        let (h, next) = (&mut scratch.h, &mut scratch.next);
+        // g[y*q + i]: expected `h` after one move inside layer y from i.
+        for buf in [&mut scratch.h, &mut scratch.next, &mut scratch.g] {
+            buf.clear();
+            buf.resize(3 * q, 0.0);
+        }
         let in_target = &scratch.in_target;
-        sweep_iterate(h, next, horizon, threads, |s, h| {
-            let (x, i) = (s / q, s % q);
-            if in_target[i] {
-                return 0.0;
-            }
-            // One step: teleport to bipartite y (prob N[x][y]), then move
-            // within y. Mass that cannot move (empty row) self-loops in
-            // place.
-            let mut acc = 0.0;
-            for (y, &p_y) in self.n[x].iter().enumerate() {
-                if p_y == 0.0 {
-                    continue;
+        sweep_iterate_staged(
+            &mut scratch.h,
+            &mut scratch.next,
+            &mut scratch.g,
+            horizon,
+            threads,
+            // Phase 1: one pass over each layer's rows; a chunk may span
+            // a layer boundary.
+            |mut k, mut chunk, h| {
+                while !chunk.is_empty() {
+                    let (y, i) = (k / q, k % q);
+                    let len = chunk.len().min(q - i);
+                    let (part, rest) = std::mem::take(&mut chunk).split_at_mut(len);
+                    layer_moves(&self.transitions[y], &h[y * q..(y + 1) * q], i, part);
+                    (chunk, k) = (rest, k + len);
                 }
-                let (cols, vals) = self.transitions[y].row(i);
-                let mut mass = 0.0;
-                let mut inner = 0.0;
-                for (&j, &p) in cols.iter().zip(vals) {
-                    inner += p * h[y * q + j as usize];
-                    mass += p;
+            },
+            // Phase 2: teleport to bipartite y with probability N[x][y],
+            // then take layer y's move.
+            |s, g| {
+                let (x, i) = (s / q, s % q);
+                if in_target[i] {
+                    return 0.0;
                 }
-                if mass < 1.0 {
-                    inner += (1.0 - mass) * h[y * q + i];
+                let mut acc = 0.0;
+                for (y, &p_y) in self.n[x].iter().enumerate() {
+                    if p_y == 0.0 {
+                        continue;
+                    }
+                    acc += p_y * g[y * q + i];
                 }
-                acc += p_y * inner;
-            }
-            1.0 + acc
-        });
+                1.0 + acc
+            },
+        );
         out.clear();
         let h = &scratch.h;
         out.extend((0..q).map(|i| (h[i] + h[q + i] + h[2 * q + i]) / 3.0));
     }
+}
+
+/// Writes `out[r] = g(i0 + r)` for rows `i0..` of one layer `m`, where
+/// `g(i)` is the expected `h_y` after one move from query `i` inside the
+/// layer: the row product in column order, plus `(1 − mass)·h_y(i)` when
+/// the row's mass is below 1 (mass that cannot move self-loops in place).
+///
+/// Rows go two at a time with their accumulations interleaved. Each row's
+/// own additions keep their order, so every value has the bits of the
+/// one-row loop, but the two dependency chains of floating-point adds run
+/// side by side instead of one after the other.
+fn layer_moves(m: &CsrMatrix, h_y: &[f64], i0: usize, out: &mut [f64]) {
+    let finish = |(inner, mass): (f64, f64), i: usize| {
+        if mass < 1.0 {
+            inner + (1.0 - mass) * h_y[i]
+        } else {
+            inner
+        }
+    };
+    let mut pairs = out.chunks_exact_mut(2);
+    let mut i = i0;
+    for pair in &mut pairs {
+        let ((ca, va), (cb, vb)) = (m.row(i), m.row(i + 1));
+        let n = ca.len().min(cb.len());
+        let (mut a, mut b) = ((0.0, 0.0), (0.0, 0.0));
+        for ((&ja, &pa), (&jb, &pb)) in ca[..n].iter().zip(&va[..n]).zip(cb.iter().zip(vb)) {
+            a.0 += pa * h_y[ja as usize];
+            a.1 += pa;
+            b.0 += pb * h_y[jb as usize];
+            b.1 += pb;
+        }
+        pair[0] = finish(accumulate(&ca[n..], &va[n..], h_y, a), i);
+        pair[1] = finish(accumulate(&cb[n..], &vb[n..], h_y, b), i + 1);
+        i += 2;
+    }
+    if let [last] = pairs.into_remainder() {
+        let (cols, vals) = m.row(i);
+        *last = finish(accumulate(cols, vals, h_y, (0.0, 0.0)), i);
+    }
+}
+
+/// Continues one row's `(Σ p·h_y[j], Σ p)` over `cols`/`vals` in order.
+fn accumulate(cols: &[u32], vals: &[f64], h_y: &[f64], mut acc: (f64, f64)) -> (f64, f64) {
+    for (&j, &p) in cols.iter().zip(vals) {
+        acc.0 += p * h_y[j as usize];
+        acc.1 += p;
+    }
+    acc
 }
 
 /// Reusable buffers for [`CrossBipartiteWalk::hitting_time_into`].
@@ -199,6 +277,7 @@ impl CrossBipartiteWalk {
 pub struct HittingTimeScratch {
     h: Vec<f64>,
     next: Vec<f64>,
+    g: Vec<f64>,
     in_target: Vec<bool>,
 }
 

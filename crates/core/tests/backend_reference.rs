@@ -14,6 +14,12 @@
 //! bit-deterministic across thread counts and repeat builds, and
 //! IntentFused degrades to the default backend exactly for requests
 //! without a personalized profile.
+//!
+//! The reference's hitting time is frozen too: `frozen_hitting_time` is
+//! the per-state `3q` sweep of Eq. 17 as it shipped before the two-phase
+//! kernel, and a property test pins `hitting_time_into` to it bit for bit
+//! over uniform, mass-weighted and random cross matrices at threads
+//! {1, 2, 4}.
 
 use pqsda::crosswalk::HittingTimeScratch;
 use pqsda::{
@@ -21,7 +27,9 @@ use pqsda::{
     Regularizer,
 };
 use pqsda_baselines::{Backend, SuggestRequest, Suggester};
+use pqsda_graph::bipartite::EntityKind;
 use pqsda_graph::compact::{CompactConfig, CompactMulti};
+use pqsda_parallel::{effective_threads, sweep_iterate};
 use pqsda_querylog::synth::{generate, SynthConfig};
 use pqsda_querylog::{QueryId, QueryLog};
 use proptest::prelude::*;
@@ -108,15 +116,13 @@ fn frozen_select_scored(
 
     let mut targets = selected.clone();
     targets.push(input_local);
-    let mut scratch = HittingTimeScratch::default();
-    let mut h = Vec::new();
     let f_max = pool
         .iter()
         .map(|&i| f_star[i])
         .fold(f64::MIN_POSITIVE, f64::max);
     let score = |h: &[f64], i: usize| -> f64 { h[i] * (f_star[i] / f_max).powf(0.0) };
     while selected.len() < k {
-        walk.hitting_time_into(&targets, 20, 0, &mut scratch, &mut h);
+        let h = frozen_hitting_time(walk, &targets, 20, 0);
         let next = pool
             .iter()
             .copied()
@@ -137,6 +143,156 @@ fn frozen_select_scored(
         }
     }
     selected.into_iter().map(|l| (l, f_star[l])).collect()
+}
+
+/// `CrossBipartiteWalk::hitting_time_with_threads` as shipped before the
+/// two-phase kernel: the augmented chain flattened to one `3q` state
+/// vector, each state recomputing every layer's row product it needs.
+/// Frozen — the oracle the live kernel must match bit for bit.
+fn frozen_hitting_time(
+    walk: &CrossBipartiteWalk,
+    targets: &[usize],
+    horizon: usize,
+    threads: usize,
+) -> Vec<f64> {
+    const MIN_WORK_PER_THREAD: usize = 16_384;
+    let transitions = EntityKind::ALL.map(|kind| walk.layer(kind));
+    let n = walk.cross_matrix();
+    assert!(!targets.is_empty(), "hitting_time: empty target set");
+    let q = walk.num_queries();
+    let mut in_target = vec![false; q];
+    for &t in targets {
+        assert!(t < q, "hitting_time: target {t} out of range");
+        in_target[t] = true;
+    }
+    let work = transitions.iter().map(|t| t.nnz()).sum::<usize>() + 3 * q;
+    let threads = effective_threads(threads, work, MIN_WORK_PER_THREAD);
+    // h[x*q + i]: hitting time from state (bipartite x, query i).
+    let mut h = vec![0.0; 3 * q];
+    let mut next = vec![0.0; 3 * q];
+    let in_target = &in_target;
+    sweep_iterate(&mut h, &mut next, horizon, threads, |s, h| {
+        let (x, i) = (s / q, s % q);
+        if in_target[i] {
+            return 0.0;
+        }
+        // One step: teleport to bipartite y (prob N[x][y]), then move
+        // within y. Mass that cannot move (empty row) self-loops in
+        // place.
+        let mut acc = 0.0;
+        for (y, &p_y) in n[x].iter().enumerate() {
+            if p_y == 0.0 {
+                continue;
+            }
+            let (cols, vals) = transitions[y].row(i);
+            let mut mass = 0.0;
+            let mut inner = 0.0;
+            for (&j, &p) in cols.iter().zip(vals) {
+                inner += p * h[y * q + j as usize];
+                mass += p;
+            }
+            if mass < 1.0 {
+                inner += (1.0 - mass) * h[y * q + i];
+            }
+            acc += p_y * inner;
+        }
+        1.0 + acc
+    });
+    (0..q)
+        .map(|i| (h[i] + h[q + i] + h[2 * q + i]) / 3.0)
+        .collect()
+}
+
+/// A cross matrix from small integer weights: zero entries stay exact
+/// zeros, and an all-zero row falls back to pure self-teleport.
+fn cross_matrix_from(weights: &[Vec<u8>]) -> [[f64; 3]; 3] {
+    let mut n = [[0.0; 3]; 3];
+    for (x, row) in weights.iter().enumerate() {
+        let total: u32 = row.iter().map(|&w| u32::from(w)).sum();
+        for (y, &w) in row.iter().enumerate() {
+            n[x][y] = if total == 0 {
+                f64::from(u8::from(x == y))
+            } else {
+                f64::from(w) / f64::from(total)
+            };
+        }
+    }
+    n
+}
+
+/// The live kernel against [`frozen_hitting_time`] on every walk kind,
+/// horizons {0, 1, 2, 20}, and threads {1, 2, 4}, with `targets` (indices
+/// taken modulo each walk's size, duplicates kept) and one scratch reused
+/// across all walks, whatever their size. Returns the first mismatch.
+fn kernel_mismatch(
+    compacts: &[CompactMulti],
+    cross: [[f64; 3]; 3],
+    targets: &[usize],
+    scratch: &mut HittingTimeScratch,
+) -> Option<String> {
+    let mut out = Vec::new();
+    for compact in compacts {
+        let walks = [
+            ("uniform", CrossBipartiteWalk::uniform(compact)),
+            ("mass_weighted", CrossBipartiteWalk::mass_weighted(compact)),
+            (
+                "cross",
+                CrossBipartiteWalk::with_cross_matrix(compact, cross),
+            ),
+        ];
+        let q = compact.len();
+        let mut targets: Vec<usize> = targets.iter().map(|&t| t % q).collect();
+        targets.push(targets[0]);
+        for (name, walk) in &walks {
+            for horizon in [0usize, 1, 2, 20] {
+                let want = frozen_hitting_time(walk, &targets, horizon, 1);
+                for threads in [1usize, 2, 4] {
+                    walk.hitting_time_into(&targets, horizon, threads, scratch, &mut out);
+                    if out
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .ne(want.iter().map(|x| x.to_bits()))
+                    {
+                        return Some(format!(
+                            "{name} walk, q {q}, horizon {horizon}, threads {threads}, \
+                             targets {targets:?}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    None
+}
+
+/// The property test's walks are small enough that the work gate keeps
+/// every thread count serial; this one is past it (≥ 4 × 49 152 units of
+/// work), so on a multi-core host threads 2 and 4 run the barrier region.
+#[test]
+fn hitting_time_kernel_matches_frozen_sweep_past_the_work_gate() {
+    let s = generate(&SynthConfig::default());
+    let engine = PqsDa::build_from_entries(&s.log.entries(), &EngineBuildOptions::default());
+    let input = engine.log().records()[0].query;
+    let config = CompactConfig {
+        max_queries: 3072,
+        max_rounds: 6,
+    };
+    let compact = CompactMulti::expand(engine.multi(), &[input], &config);
+    let walk = CrossBipartiteWalk::uniform(&compact);
+    let work: usize = EntityKind::ALL
+        .iter()
+        .map(|&kind| walk.layer(kind).nnz())
+        .sum::<usize>()
+        + 3 * compact.len();
+    assert!(work >= 4 * 49_152, "walk too small to split: {work}");
+    let cross = cross_matrix_from(&[vec![2, 0, 1], vec![1, 1, 1], vec![0, 0, 3]]);
+    let mut scratch = HittingTimeScratch::default();
+    let mismatch = kernel_mismatch(&[compact], cross, &[0, 7, 7, 311], &mut scratch);
+    assert!(
+        mismatch.is_none(),
+        "kernel diverged: {}",
+        mismatch.unwrap_or_default()
+    );
 }
 
 /// Anonymous, contextual and personalized requests over the log's
@@ -191,6 +347,33 @@ proptest! {
                 "threads {}", threads
             );
         }
+    }
+
+    /// The two-phase hitting-time kernel reproduces the frozen per-state
+    /// sweep bit for bit (see `kernel_mismatch`), on compact expansions of
+    /// three random sizes around a random query.
+    #[test]
+    fn hitting_time_kernel_matches_frozen_sweep(
+        seed in 0u64..400,
+        sizes in prop::collection::vec(2usize..160, 3),
+        weights in prop::collection::vec(prop::collection::vec(0u8..4, 3), 3),
+        targets in prop::collection::vec(0usize..1000, 1..6),
+    ) {
+        let s = generate(&SynthConfig::tiny(seed));
+        let engine = PqsDa::build_from_entries(&s.log.entries(), &EngineBuildOptions::default());
+        let records = engine.log().records();
+        let input = records[seed as usize % records.len()].query;
+        let compacts: Vec<CompactMulti> = sizes
+            .iter()
+            .map(|&max_queries| {
+                let config = CompactConfig { max_queries, max_rounds: 4 };
+                CompactMulti::expand(engine.multi(), &[input], &config)
+            })
+            .collect();
+        let mut scratch = HittingTimeScratch::default();
+        let mismatch =
+            kernel_mismatch(&compacts, cross_matrix_from(&weights), &targets, &mut scratch);
+        prop_assert!(mismatch.is_none(), "kernel diverged: {}", mismatch.unwrap_or_default());
     }
 
     /// BiRank is bit-deterministic: repeat builds and every thread count

@@ -64,16 +64,16 @@ pub fn split_even(len: usize, threads: usize) -> Vec<(usize, usize)> {
 /// Splits `0..len` into `threads` contiguous ranges of near-equal size.
 fn ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
     let threads = threads.min(len).max(1);
-    let base = len / threads;
-    let extra = len % threads;
-    let mut out = Vec::with_capacity(threads);
-    let mut start = 0;
-    for t in 0..threads {
-        let size = base + usize::from(t < extra);
-        out.push((start, start + size));
-        start += size;
-    }
-    out
+    (0..threads).map(|k| span(len, threads, k)).collect()
+}
+
+/// The `k`-th of `parts` contiguous near-equal ranges of `0..len`, the
+/// first `len % parts` one longer than the rest (so the last ones are
+/// empty when `len < parts`).
+fn span(len: usize, parts: usize, k: usize) -> (usize, usize) {
+    let (base, extra) = (len / parts, len % parts);
+    let start = k * base + k.min(extra);
+    (start, start + base + usize::from(k < extra))
 }
 
 /// Runs `f(offset, chunk)` over disjoint contiguous chunks of `data`, one
@@ -190,11 +190,15 @@ where
     out
 }
 
-/// Raw-pointer wrapper so pool jobs can share two buffers they write
-/// disjoint ranges of. All aliasing discipline lives in [`sweep_iterate_on`].
+/// Raw-pointer wrapper so pool jobs can share buffers they write disjoint
+/// ranges of. All aliasing discipline lives in [`sweep_region`].
 #[derive(Clone, Copy)]
 struct SharedBuf(*mut f64);
+// SAFETY: the one field is a pointer into an `f64` buffer borrowed mutably
+// for the whole region; `sweep_region` only dereferences it for disjoint
+// writes or barrier-ordered reads, and `f64` itself is `Send + Sync`.
 unsafe impl Send for SharedBuf {}
+// SAFETY: as for `Send` above.
 unsafe impl Sync for SharedBuf {}
 
 /// Runs `iterations` Jacobi-style sweeps of `next[i] = f(i, &cur)` with
@@ -228,47 +232,132 @@ pub fn sweep_iterate_on<F>(
 ) where
     F: Fn(usize, &[f64]) -> f64 + Sync,
 {
+    // No stage: the stage function is never called.
+    sweep_region(
+        pool,
+        cur,
+        next,
+        &mut [],
+        iterations,
+        threads,
+        |_, _, _| {},
+        |i, src, _| f(i, src),
+    );
+}
+
+/// Two-phase [`sweep_iterate`]: every sweep first fills the intermediate
+/// buffer `stage` from `cur`, then `next[i] = f(i, &stage)` for all `i`.
+/// Use it when a sweep's per-index work shares a subexpression across
+/// indices — computing it once per sweep in `stage` instead of once per
+/// reader. The stage is filled chunk by chunk: `g(offset, chunk, &cur)`
+/// must write every `chunk[k]` as a function of `offset + k` and `cur`
+/// alone, so that any split gives the same values; a chunk lets `g` work
+/// on several indices at once. Both phases split their indices across the
+/// same participants, with a barrier between the phases and after each
+/// sweep, so results are bit-identical to the serial loop for any thread
+/// count. `stage` holds the last sweep's intermediate values on return.
+pub fn sweep_iterate_staged<G, F>(
+    cur: &mut [f64],
+    next: &mut [f64],
+    stage: &mut [f64],
+    iterations: usize,
+    threads: usize,
+    g: G,
+    f: F,
+) where
+    G: Fn(usize, &mut [f64], &[f64]) + Sync,
+    F: Fn(usize, &[f64]) -> f64 + Sync,
+{
+    sweep_region(
+        WorkerPool::global(),
+        cur,
+        next,
+        stage,
+        iterations,
+        threads,
+        g,
+        |i, _, stage| f(i, stage),
+    );
+}
+
+/// The one barrier region behind [`sweep_iterate_on`] and
+/// [`sweep_iterate_staged`]: per sweep, `g(offset, chunk, src)` over each
+/// participant's chunk of `stage` (skipped, barrier included, when `stage`
+/// is empty), then `dst[i] = f(i, src, stage)`.
+#[allow(clippy::too_many_arguments)]
+fn sweep_region<G, F>(
+    pool: &WorkerPool,
+    cur: &mut [f64],
+    next: &mut [f64],
+    stage: &mut [f64],
+    iterations: usize,
+    threads: usize,
+    g: G,
+    f: F,
+) where
+    G: Fn(usize, &mut [f64], &[f64]) + Sync,
+    F: Fn(usize, &[f64], &[f64]) -> f64 + Sync,
+{
     assert_eq!(cur.len(), next.len(), "sweep buffers must match");
     let len = cur.len();
     if iterations == 0 || len == 0 {
         return;
     }
     let participants = threads.min(pool.parallelism()).min(len).max(1);
-    let serial = |cur: &mut [f64], next: &mut [f64]| {
+    let serial = |cur: &mut [f64], next: &mut [f64], stage: &mut [f64]| {
         for _ in 0..iterations {
+            if !stage.is_empty() {
+                g(0, stage, cur);
+            }
             for (i, slot) in next.iter_mut().enumerate() {
-                *slot = f(i, cur);
+                *slot = f(i, cur, stage);
             }
             cur.swap_with_slice(next);
         }
     };
     if participants <= 1 {
-        serial(cur, next);
+        serial(cur, next, stage);
         return;
     }
 
     let a = SharedBuf(cur.as_mut_ptr());
     let b = SharedBuf(next.as_mut_ptr());
+    let mid = SharedBuf(stage.as_mut_ptr());
+    let mid_len = stage.len();
     let barrier = Barrier::new(participants);
-    let spans = ranges(len, participants);
-    let jobs: Vec<Job<'_>> = spans
-        .iter()
-        .map(|&(start, end)| {
+    let jobs: Vec<Job<'_>> = (0..participants)
+        .map(|k| {
+            let (start, end) = span(len, participants, k);
+            let (mid_start, mid_end) = span(mid_len, participants, k);
             let barrier = &barrier;
-            let f = &f;
+            let (g, f) = (&g, &f);
             Box::new(move || {
+                let mid = mid; // capture the whole `Send` wrapper, not its field
                 for sweep in 0..iterations {
                     let (src, dst) = if sweep % 2 == 0 { (a, b) } else { (b, a) };
                     // SAFETY: `src` was fully written by the previous sweep
                     // (or is the caller's initial buffer) and no participant
-                    // writes it during this sweep; every participant writes
-                    // only its own `start..end` of `dst`. The barrier below
-                    // keeps sweeps from overlapping, and `run_concurrent`
-                    // guarantees all participants run at once.
+                    // writes it during this sweep. Each phase writes only
+                    // this participant's own range of its output (`stage`,
+                    // then `dst`), and every phase's output is read only
+                    // after a barrier: the stage barrier orders the stage
+                    // writes before any read of `stage`, and the sweep
+                    // barrier keeps the next sweep's stage writes and
+                    // `dst` reads from overlapping this sweep's. All
+                    // participants run at once (`run_concurrent`).
                     unsafe {
                         let src = std::slice::from_raw_parts(src.0, len);
+                        if mid_len > 0 {
+                            let chunk = std::slice::from_raw_parts_mut(
+                                mid.0.add(mid_start),
+                                mid_end - mid_start,
+                            );
+                            g(mid_start, chunk, src);
+                            barrier.wait();
+                        }
+                        let stage = std::slice::from_raw_parts(mid.0, mid_len);
                         for i in start..end {
-                            *dst.0.add(i) = f(i, src);
+                            *dst.0.add(i) = f(i, src, stage);
                         }
                     }
                     barrier.wait();
@@ -277,7 +366,7 @@ pub fn sweep_iterate_on<F>(
         })
         .collect();
     if !pool.run_concurrent(jobs) {
-        serial(cur, next);
+        serial(cur, next, stage);
         return;
     }
     if iterations % 2 == 1 {
@@ -388,6 +477,79 @@ mod tests {
                 let mut next = vec![0.0; n];
                 sweep_iterate(&mut cur, &mut next, iterations, threads, f);
                 assert_eq!(cur, reference, "threads={threads} iters={iterations}");
+            }
+        }
+    }
+
+    #[test]
+    fn spans_cover_lengths_shorter_than_parts() {
+        for len in [0usize, 1, 3] {
+            let spans: Vec<_> = (0..8).map(|k| span(len, 8, k)).collect();
+            assert_eq!(spans[0].0, 0);
+            assert_eq!(spans[7].1, len);
+            assert!(spans.windows(2).all(|w| w[0].1 == w[1].0));
+        }
+    }
+
+    /// Serial two-phase reference: `stage = g(cur)`, then `next = f(stage)`.
+    fn staged_reference(
+        init: &[f64],
+        stage_len: usize,
+        iterations: usize,
+        g: impl Fn(usize, &[f64]) -> f64,
+        f: impl Fn(usize, &[f64]) -> f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let mut cur = init.to_vec();
+        let mut stage = vec![0.0; stage_len];
+        for _ in 0..iterations {
+            stage = (0..stage_len).map(|k| g(k, &cur)).collect();
+            cur = (0..cur.len()).map(|i| f(i, &stage)).collect();
+        }
+        (cur, stage)
+    }
+
+    #[test]
+    fn staged_sweep_bit_identical_across_thread_counts() {
+        // Stage shorter and longer than the state vector, and shorter than
+        // the participant count, so some participants own no stage rows.
+        let n = 61;
+        let init: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25).collect();
+        let pool = WorkerPool::new(3);
+        for stage_len in [2usize, 29, 3 * n] {
+            let g = |k: usize, cur: &[f64]| 0.5 * cur[(k * 7) % n] + (k as f64).cos() * 1e-2;
+            let f = |i: usize, st: &[f64]| 1.0 + 0.9 * st[(i + 1) % stage_len];
+            let fill = |offset: usize, chunk: &mut [f64], cur: &[f64]| {
+                for (k, slot) in (offset..).zip(chunk) {
+                    *slot = g(k, cur);
+                }
+            };
+            for iterations in [0usize, 1, 2, 5, 20] {
+                let (want, want_stage) = staged_reference(&init, stage_len, iterations, g, f);
+                for threads in [1usize, 2, 3, 4, 16] {
+                    let mut cur = init.clone();
+                    let mut next = vec![0.0; n];
+                    let mut stage = vec![0.0; stage_len];
+                    sweep_region(
+                        &pool,
+                        &mut cur,
+                        &mut next,
+                        &mut stage,
+                        iterations,
+                        threads,
+                        fill,
+                        |i, _, st| f(i, st),
+                    );
+                    let tag = format!("stage {stage_len} threads {threads} iters {iterations}");
+                    assert_eq!(cur, want, "{tag}");
+                    assert_eq!(stage, want_stage, "{tag}");
+                    let mut cur = init.clone();
+                    let mut next = vec![0.0; n];
+                    let mut stage = vec![0.0; stage_len];
+                    sweep_iterate_staged(
+                        &mut cur, &mut next, &mut stage, iterations, threads, fill, f,
+                    );
+                    assert_eq!(cur, want, "global pool, {tag}");
+                }
             }
         }
     }

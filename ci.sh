@@ -11,6 +11,9 @@ cargo fmt --check
 # across thread counts, that the cross-bipartite hitting-time sweep costs
 # at most 2x its floor of horizon x 3 plain layer SpMVs at the serving
 # shape (512 queries, 10 targets; median of interleaved call pairs), that
+# preparing a memo entry (`Diversifier::for_backend`) costs at most 1.15x
+# its Eq. 15 assembly (`Regularizer::new`) at the same shape, i.e. the
+# Algorithm 1 walk is not built on a miss (same pair protocol), that
 # a 1% delta through `apply_delta` is digest-equal to — and at least 5x
 # cheaper than — a cold full rebuild, and that an mmap snapshot cold
 # start is at least 10x faster than a rebuild with bit-identical replies

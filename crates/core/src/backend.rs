@@ -32,6 +32,7 @@ use pqsda_baselines::Backend;
 use pqsda_graph::bipartite::EntityKind;
 use pqsda_graph::compact::CompactMulti;
 use pqsda_linalg::csr::CsrMatrix;
+use std::sync::OnceLock;
 
 /// The relevance stage: scores every query of the compact set for one
 /// `(input, context)` pair and names the most relevant candidate.
@@ -276,23 +277,41 @@ impl RelevanceBackend for BiRank {
 /// with the ablation arm (`hitting_time: false`) and the
 /// `relevance_bias` weighting of the arg-max. The selection logic is the
 /// pre-refactor `Diversifier` loop, moved verbatim behind the trait.
+///
+/// The cross-bipartite walk is built on the first `select` that runs a
+/// hitting-time round (`k ≥ 2` with `hitting_time` on) and kept for every
+/// later call: a memo entry only ever served at `k = 1`, or in the
+/// ablation arm, never pays for its three SpGEMMs.
 #[derive(Clone, Debug)]
 pub struct HittingTimeDiversify {
-    walk: CrossBipartiteWalk,
+    /// The compact representation the walk is built from (a clone that
+    /// shares the memo entry's storage).
+    compact: CompactMulti,
+    walk: OnceLock<CrossBipartiteWalk>,
     config: crate::diversify::DiversifyConfig,
 }
 
 impl HittingTimeDiversify {
-    /// Prepares the cross-bipartite walker per the config's
-    /// [`crate::diversify::CrossMatrixChoice`].
+    /// Prepares the backend; the cross-bipartite walker (per the config's
+    /// [`crate::diversify::CrossMatrixChoice`]) is built on first use.
     pub fn new(compact: &CompactMulti, config: crate::diversify::DiversifyConfig) -> Self {
-        let walk = match config.cross {
-            crate::diversify::CrossMatrixChoice::Uniform => CrossBipartiteWalk::uniform(compact),
-            crate::diversify::CrossMatrixChoice::MassWeighted => {
-                CrossBipartiteWalk::mass_weighted(compact)
+        HittingTimeDiversify {
+            compact: compact.clone(),
+            walk: OnceLock::new(),
+            config,
+        }
+    }
+
+    /// The cross-bipartite walker, built on the first call.
+    fn walk(&self) -> &CrossBipartiteWalk {
+        self.walk.get_or_init(|| match self.config.cross {
+            crate::diversify::CrossMatrixChoice::Uniform => {
+                CrossBipartiteWalk::uniform(&self.compact)
             }
-        };
-        HittingTimeDiversify { walk, config }
+            crate::diversify::CrossMatrixChoice::MassWeighted => {
+                CrossBipartiteWalk::mass_weighted(&self.compact)
+            }
+        })
     }
 }
 
@@ -309,6 +328,10 @@ impl DiversifyBackend for HittingTimeDiversify {
         context: &[(usize, u64)],
         k: usize,
     ) -> Vec<(usize, f64)> {
+        // Both arms return the first candidate alone when `k ≤ 1`.
+        if k <= 1 {
+            return vec![(first, f_star[first])];
+        }
         let mut selected = vec![first];
         let excluded: Vec<usize> = std::iter::once(input_local)
             .chain(context.iter().map(|&(l, _)| l))
@@ -316,7 +339,7 @@ impl DiversifyBackend for HittingTimeDiversify {
 
         // Relevance pool: the top pool_factor·k queries by F*.
         let pool_size = (self.config.pool_factor * k).max(10);
-        let mut pool: Vec<usize> = (0..self.walk.num_queries())
+        let mut pool: Vec<usize> = (0..self.compact.len())
             .filter(|i| !excluded.contains(i) && f_star[*i] > 0.0)
             .collect();
         pool.sort_by(|&a, &b| f_star[b].partial_cmp(&f_star[a]).unwrap().then(a.cmp(&b)));
@@ -355,9 +378,9 @@ impl DiversifyBackend for HittingTimeDiversify {
         // `bias == 0` multiplies every hitting time by exactly 1.0, so the
         // default arg-max is bit-identical to the unbiased Algorithm 1.
         let score = |h: &[f64], i: usize| -> f64 { h[i] * (f_star[i] / f_max).powf(bias) };
+        let walk = self.walk();
         while selected.len() < k {
-            self.walk
-                .hitting_time_into(&targets, self.config.horizon, 0, &mut scratch, &mut h);
+            walk.hitting_time_into(&targets, self.config.horizon, 0, &mut scratch, &mut h);
             let next = pool
                 .iter()
                 .copied()
@@ -385,6 +408,7 @@ impl DiversifyBackend for HittingTimeDiversify {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diversify::DiversifyConfig;
     use crate::regularize::RegularizationConfig;
     use pqsda_graph::multi::MultiBipartite;
     use pqsda_graph::weighting::WeightingScheme;
@@ -488,6 +512,60 @@ mod tests {
             s1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             s2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    /// The relevance vector and first candidate Algorithm 1 starts from.
+    fn first_and_relevance(compact: &CompactMulti, input: usize) -> (usize, Vec<f64>) {
+        Regularizer::new(compact, RegularizationConfig::default())
+            .first_candidate(input, &[])
+            .expect("connected input has mass")
+    }
+
+    #[test]
+    fn walk_is_not_built_for_k1_or_the_ablation_arm() {
+        let (log, compact) = two_facet();
+        let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
+        let (first, f_star) = first_and_relevance(&compact, sun);
+        let on = HittingTimeDiversify::new(&compact, DiversifyConfig::default());
+        assert_eq!(
+            on.select(first, &f_star, sun, &[], 1),
+            vec![(first, f_star[first])]
+        );
+        assert!(on.walk.get().is_none(), "k = 1 built the walk");
+        let off = HittingTimeDiversify::new(
+            &compact,
+            DiversifyConfig {
+                hitting_time: false,
+                ..DiversifyConfig::default()
+            },
+        );
+        for k in [1, 2, 10] {
+            let picks = off.select(first, &f_star, sun, &[], k);
+            assert_eq!(picks[0].0, first);
+        }
+        assert!(off.walk.get().is_none(), "the ablation arm built the walk");
+    }
+
+    #[test]
+    fn walk_is_built_once_on_the_first_round() {
+        let (log, compact) = two_facet();
+        let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
+        let (first, f_star) = first_and_relevance(&compact, sun);
+        let backend = HittingTimeDiversify::new(&compact, DiversifyConfig::default());
+        backend.select(first, &f_star, sun, &[], 2);
+        let built: *const CrossBipartiteWalk = backend.walk.get().expect("k = 2 builds the walk");
+        let ten = backend.select(first, &f_star, sun, &[], 10);
+        let fresh = HittingTimeDiversify::new(&compact, DiversifyConfig::default());
+        assert_eq!(ten, fresh.select(first, &f_star, sun, &[], 10));
+        assert!(
+            std::ptr::eq(built, backend.walk.get().unwrap()),
+            "the walk was rebuilt"
+        );
+        // The lazily built walk is the one an eager build would give.
+        let eager = CrossBipartiteWalk::uniform(&compact);
+        for kind in EntityKind::ALL {
+            assert_eq!(backend.walk().layer(kind), eager.layer(kind), "{kind:?}");
+        }
     }
 
     #[test]

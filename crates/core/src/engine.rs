@@ -123,9 +123,12 @@ pub struct PqsDa {
     personalizer: Option<Personalizer>,
     config: PqsDaConfig,
     /// Memo of compact representations per (relevance model, seed set) —
-    /// online suggestion re-serves hot queries, and expansion dominates
-    /// the per-request cost. Sharded and LRU-bounded so concurrent
-    /// requests don't serialize on one lock and residency stays bounded.
+    /// online suggestion re-serves hot queries, and a miss pays for the
+    /// expansion (§IV-A) plus the Eq. 15 assembly, several times the CG
+    /// solve a hit pays. The entry's Algorithm 1 walk is built inside it
+    /// on the first request with `k ≥ 2`, so k = 1 traffic never pays
+    /// for it. Sharded and LRU-bounded so concurrent requests don't
+    /// serialize on one lock and residency stays bounded.
     ///
     /// The key carries the [`RelevanceKind`], not the raw request
     /// backend: `Eq15` and `IntentFused` run the identical expansion,
@@ -677,6 +680,66 @@ mod tests {
                     assert_eq!(warm.suggest(&req), cold.suggest(&req));
                 }
             }
+        }
+    }
+
+    /// Replies as raw bits, for exact comparison.
+    fn reply_bits(engine: &PqsDa, req: &SuggestRequest) -> Vec<(QueryId, u64)> {
+        engine
+            .suggest_scored(req)
+            .into_iter()
+            .map(|(q, s)| (q, s.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn request_order_across_k_does_not_change_replies() {
+        // The walk is built on the first k ≥ 2 request of a memo entry:
+        // an entry first served at k = 1 must answer k = 10 exactly as
+        // one first served at k = 10, and the other way round.
+        let a = build_engine(false);
+        let b = build_engine(false);
+        for q in 0..a.log().num_queries() {
+            let q = QueryId::from_index(q);
+            let k1 = SuggestRequest::simple(q, 1);
+            let k10 = SuggestRequest::simple(q, 10);
+            let a1 = reply_bits(&a, &k1);
+            let a10 = reply_bits(&a, &k10);
+            let b10 = reply_bits(&b, &k10);
+            let b1 = reply_bits(&b, &k1);
+            assert_eq!(a1, b1, "k=1 q={q:?}");
+            assert_eq!(a10, b10, "k=10 q={q:?}");
+        }
+    }
+
+    #[test]
+    fn apply_delta_carries_k1_warmed_entries_exactly() {
+        // Entries warmed at k = 1 only reach the new engine without a
+        // walk; their first k = 10 request builds it there and must match
+        // a cold rebuild.
+        // A second topic island keeps its entries out of the delta's
+        // invalidation scope, so some are carried over.
+        let mut entries = vec![
+            LogEntry::new(UserId(3), "weather paris", Some("meteo.fr"), 10),
+            LogEntry::new(UserId(3), "weather lyon", Some("meteo.fr"), 40),
+            LogEntry::new(UserId(3), "rain radar", Some("radar.fr"), 70),
+        ];
+        entries.extend(build_engine(false).log().entries());
+        let opts = EngineBuildOptions {
+            scheme: WeightingScheme::CfIqf,
+            ..EngineBuildOptions::default()
+        };
+        let cut = entries.len() - 1;
+        let base = PqsDa::build_from_entries(&entries[..cut], &opts);
+        for q in 0..base.log().num_queries() {
+            base.suggest(&SuggestRequest::simple(QueryId::from_index(q), 1));
+        }
+        let (warm, report) = base.apply_delta(&entries[cut..], &opts).unwrap();
+        assert!(report.cache_retained > 0, "{report:?}");
+        let cold = PqsDa::build_from_entries(&entries, &opts);
+        for q in 0..cold.log().num_queries() {
+            let req = SuggestRequest::simple(QueryId::from_index(q), 10);
+            assert_eq!(reply_bits(&warm, &req), reply_bits(&cold, &req), "q={q}");
         }
     }
 

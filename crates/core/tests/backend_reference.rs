@@ -20,6 +20,14 @@
 //! kernel, and a property test pins `hitting_time_into` to it bit for bit
 //! over uniform, mass-weighted and random cross matrices at threads
 //! {1, 2, 4}.
+//!
+//! So are the memo-miss layers the reference builds on: `frozen_expand`
+//! is compact expansion with its per-round `HashMap` accumulator,
+//! `frozen_project` the `CooBuilder` projection, and `frozen_coefficient`
+//! the Eq. 15 assembly over the `CooBuilder`-based `add_scaled`, each as
+//! it shipped before the dense-accumulator rewrite. A property test pins
+//! the live expansion's member order, projected matrices and coefficient
+//! to them bit for bit.
 
 use pqsda::crosswalk::HittingTimeScratch;
 use pqsda::{
@@ -27,12 +35,17 @@ use pqsda::{
     Regularizer,
 };
 use pqsda_baselines::{Backend, SuggestRequest, Suggester};
-use pqsda_graph::bipartite::EntityKind;
+use pqsda_graph::bipartite::{Bipartite, EntityKind};
 use pqsda_graph::compact::{CompactConfig, CompactMulti};
+use pqsda_graph::multi::MultiBipartite;
+use pqsda_graph::walk::two_step_transition;
+use pqsda_linalg::csr::{CooBuilder, CsrMatrix};
+use pqsda_linalg::solver::{ConjugateGradient, LinearSolver};
 use pqsda_parallel::{effective_threads, sweep_iterate};
 use pqsda_querylog::synth::{generate, SynthConfig};
 use pqsda_querylog::{QueryId, QueryLog};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// The pre-refactor suggest path, frozen. Defaults only: uniform cross
 /// matrix, `hitting_time: true`, `relevance_bias: 0.0`.
@@ -51,27 +64,42 @@ impl FrozenReference<'_> {
         let mut seen = std::collections::HashSet::with_capacity(seeds.len());
         seeds.retain(|q| seen.insert(*q));
 
-        let compact = CompactMulti::expand(self.engine.multi(), &seeds, &CompactConfig::default());
-        let regularizer = Regularizer::new(&compact, RegularizationConfig::default());
-        let walk = CrossBipartiteWalk::uniform(&compact);
+        let members = frozen_expand(self.engine.multi(), &seeds, &CompactConfig::default());
+        let matrices = frozen_project(self.engine.multi(), &members);
+        let config = RegularizationConfig::default();
+        let coefficient = frozen_coefficient(&matrices, config);
+        // The uniform cross-bipartite walk's layers over the frozen
+        // projection.
+        let layers = EntityKind::ALL.map(|kind| {
+            two_step_transition(&Bipartite::from_matrix(
+                kind,
+                matrices[kind as usize].clone(),
+            ))
+        });
+        let local: HashMap<QueryId, usize> =
+            members.iter().enumerate().map(|(i, &q)| (q, i)).collect();
 
-        let input_local = compact.local(req.query).expect("input is a seed");
+        let input_local = local[&req.query];
         let context: Vec<(usize, u64)> = req
             .context
             .iter()
             .zip(&req.context_times)
             .filter_map(|(&q, &t)| {
-                compact
-                    .local(q)
-                    .map(|l| (l, req.query_time.saturating_sub(t)))
+                local
+                    .get(&q)
+                    .map(|&l| (l, req.query_time.saturating_sub(t)))
             })
             .collect();
 
-        let selected = frozen_select_scored(&regularizer, &walk, input_local, &context, req.k);
-        let diversified: Vec<(QueryId, f64)> = selected
-            .into_iter()
-            .map(|(l, s)| (compact.global(l), s))
-            .collect();
+        let selected = frozen_select_scored(
+            frozen_first_candidate(&coefficient, config, input_local, &context),
+            layers.each_ref(),
+            input_local,
+            &context,
+            req.k,
+        );
+        let diversified: Vec<(QueryId, f64)> =
+            selected.into_iter().map(|(l, s)| (members[l], s)).collect();
 
         match (self.engine.personalizer(), req.user) {
             (Some(p), Some(user)) => {
@@ -89,17 +117,201 @@ impl FrozenReference<'_> {
     }
 }
 
+/// `CompactMulti::expand`'s member selection as it shipped with a
+/// per-round `HashMap` mass accumulator. Frozen — the oracle the live
+/// expansion's member order must match bit for bit.
+fn frozen_expand(full: &MultiBipartite, seeds: &[QueryId], config: &CompactConfig) -> Vec<QueryId> {
+    assert!(!seeds.is_empty(), "compact expansion needs seed queries");
+    let n = full.num_queries();
+    let mut members: Vec<QueryId> = Vec::new();
+    let mut in_set = vec![false; n];
+    for &s in seeds {
+        assert!(s.index() < n, "seed query out of range");
+        if !in_set[s.index()] {
+            in_set[s.index()] = true;
+            members.push(s);
+        }
+    }
+
+    // Walk mass currently sitting on each member (restart-free walk,
+    // uniform over the seeds).
+    let mut frontier: Vec<(usize, f64)> = members
+        .iter()
+        .map(|q| (q.index(), 1.0 / members.len() as f64))
+        .collect();
+
+    for _ in 0..config.max_rounds {
+        if members.len() >= config.max_queries || frontier.is_empty() {
+            break;
+        }
+        // Propagate one two-step hop through each bipartite; average
+        // the three bipartites (the paper uses equal weights absent
+        // prior knowledge, §IV-C).
+        let mut mass: HashMap<usize, f64> = HashMap::new();
+        for b in full.iter() {
+            let m = b.matrix();
+            let t = b.transposed();
+            for &(q, w) in &frontier {
+                let (ents, evals) = m.row(q);
+                let esum: f64 = evals.iter().sum();
+                if esum <= 0.0 {
+                    continue;
+                }
+                for (&e, &ev) in ents.iter().zip(evals) {
+                    let (qs, qvals) = t.row(e as usize);
+                    let qsum: f64 = qvals.iter().sum();
+                    if qsum <= 0.0 {
+                        continue;
+                    }
+                    let p_e = ev / esum / 3.0;
+                    for (&q2, &qv) in qs.iter().zip(qvals) {
+                        *mass.entry(q2 as usize).or_insert(0.0) += w * p_e * qv / qsum;
+                    }
+                }
+            }
+        }
+        // Admit the heaviest new queries.
+        let mut new: Vec<(usize, f64)> = mass
+            .iter()
+            .filter(|(q, _)| !in_set[**q])
+            .map(|(&q, &w)| (q, w))
+            .collect();
+        new.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        let room = config.max_queries - members.len();
+        for &(q, _) in new.iter().take(room) {
+            in_set[q] = true;
+            members.push(QueryId::from_index(q));
+        }
+        // Next frontier: full propagated mass restricted to members,
+        // sorted by query index (the next round's accumulation order).
+        frontier = mass
+            .into_iter()
+            .filter(|&(q, w)| in_set[q] && w > 1e-12)
+            .collect();
+        frontier.sort_unstable_by_key(|&(q, _)| q);
+    }
+    members
+}
+
+/// `CompactMulti::project`'s matrices as built through a `CooBuilder`, in
+/// `{U, S, T}` order. Frozen.
+fn frozen_project(full: &MultiBipartite, members: &[QueryId]) -> [CsrMatrix; 3] {
+    [EntityKind::Url, EntityKind::Session, EntityKind::Term].map(|kind| {
+        let src = full.get(kind).matrix();
+        let mut b = CooBuilder::new(members.len(), src.cols());
+        for (local, q) in members.iter().enumerate() {
+            let (cols, vals) = src.row(q.index());
+            for (&c, &v) in cols.iter().zip(vals) {
+                b.push(local, c as usize, v);
+            }
+        }
+        b.build()
+    })
+}
+
+/// `CsrMatrix::add_scaled` as it shipped with a `CooBuilder` round-trip.
+/// Frozen.
+fn frozen_add_scaled(a: &CsrMatrix, alpha: f64, other: &CsrMatrix, beta: f64) -> CsrMatrix {
+    assert_eq!(
+        (a.rows(), a.cols()),
+        (other.rows(), other.cols()),
+        "add_scaled: shape mismatch"
+    );
+    let mut builder = CooBuilder::new(a.rows(), a.cols());
+    for r in 0..a.rows() {
+        let (ac, av) = a.row(r);
+        let (bc, bv) = other.row(r);
+        let (mut i, mut j) = (0, 0);
+        while i < ac.len() || j < bc.len() {
+            let take_a = j >= bc.len() || (i < ac.len() && ac[i] <= bc[j]);
+            let take_b = i >= ac.len() || (j < bc.len() && bc[j] <= ac[i]);
+            let (c, v) = if take_a && take_b {
+                let out = (ac[i], alpha * av[i] + beta * bv[j]);
+                i += 1;
+                j += 1;
+                out
+            } else if take_a {
+                let out = (ac[i], alpha * av[i]);
+                i += 1;
+                out
+            } else {
+                let out = (bc[j], beta * bv[j]);
+                j += 1;
+                out
+            };
+            if v != 0.0 {
+                builder.push(r, c as usize, v);
+            }
+        }
+    }
+    builder.build()
+}
+
+/// `Regularizer::new`'s Eq. 15 coefficient over projected matrices,
+/// assembled through [`frozen_add_scaled`]. Frozen.
+fn frozen_coefficient(matrices: &[CsrMatrix; 3], config: RegularizationConfig) -> CsrMatrix {
+    let n = matrices[0].rows();
+    let alpha_sum: f64 = config.alphas.iter().sum();
+    let mut coefficient = CsrMatrix::identity(n).map_values(|v| v * (1.0 + alpha_sum));
+    for (x, w) in matrices.iter().enumerate() {
+        let alpha = config.alphas[x];
+        if alpha == 0.0 {
+            continue;
+        }
+        // S = W Wᵀ; 𝓛 = D^{-1/2} S D^{-1/2}.
+        let s = w.mul(&w.transpose());
+        let d = s.row_sums();
+        let d_inv_sqrt: Vec<f64> = d
+            .iter()
+            .map(|&x| if x > 0.0 { 1.0 / x.sqrt() } else { 0.0 })
+            .collect();
+        let l = s.scale_rows(&d_inv_sqrt).scale_cols(&d_inv_sqrt);
+        coefficient = frozen_add_scaled(&coefficient, 1.0, &l, -alpha);
+    }
+    coefficient
+}
+
+/// `Regularizer::first_candidate` over a frozen coefficient: the Eq. 7
+/// seed, the CG solve, and the arg-max outside the input and its
+/// context. Frozen.
+fn frozen_first_candidate(
+    coefficient: &CsrMatrix,
+    config: RegularizationConfig,
+    input_local: usize,
+    context: &[(usize, u64)],
+) -> Option<(usize, Vec<f64>)> {
+    let n = coefficient.rows();
+    let mut f0 = vec![0.0; n];
+    f0[input_local] = 1.0;
+    for &(local, age) in context {
+        f0[local] = (-config.lambda * age as f64).exp();
+    }
+    f0[input_local] = 1.0;
+    let f_star = ConjugateGradient::new(config.solver)
+        .solve(coefficient, &f0)
+        .solution;
+    let excluded: Vec<usize> = std::iter::once(input_local)
+        .chain(context.iter().map(|&(l, _)| l))
+        .collect();
+    let best = (0..n)
+        .filter(|i| !excluded.contains(i) && f_star[*i] > 0.0)
+        .max_by(|&a, &b| f_star[a].partial_cmp(&f_star[b]).unwrap().then(b.cmp(&a)));
+    best.map(|i| (i, f_star))
+}
+
 /// Algorithm 1 as shipped before the backend traits existed (defaults:
-/// pool_factor 5, horizon 20, bias 0). Frozen — do not sync with
-/// `backend.rs`; divergence is exactly what this file exists to catch.
+/// uniform cross matrix, pool_factor 5, horizon 20, bias 0), from the
+/// first candidate and the walk's layers in `{U, S, T}` order. Frozen —
+/// do not sync with `backend.rs`; divergence is exactly what this file
+/// exists to catch.
 fn frozen_select_scored(
-    regularizer: &Regularizer,
-    walk: &CrossBipartiteWalk,
+    first_candidate: Option<(usize, Vec<f64>)>,
+    layers: [&CsrMatrix; 3],
     input_local: usize,
     context: &[(usize, u64)],
     k: usize,
 ) -> Vec<(usize, f64)> {
-    let Some((first, f_star)) = regularizer.first_candidate(input_local, context) else {
+    let Some((first, f_star)) = first_candidate else {
         return Vec::new();
     };
     let mut selected = vec![first];
@@ -108,7 +320,7 @@ fn frozen_select_scored(
         .collect();
 
     let pool_size = (5 * k).max(10);
-    let mut pool: Vec<usize> = (0..walk.num_queries())
+    let mut pool: Vec<usize> = (0..layers[0].rows())
         .filter(|i| !excluded.contains(i) && f_star[*i] > 0.0)
         .collect();
     pool.sort_by(|&a, &b| f_star[b].partial_cmp(&f_star[a]).unwrap().then(a.cmp(&b)));
@@ -122,7 +334,7 @@ fn frozen_select_scored(
         .fold(f64::MIN_POSITIVE, f64::max);
     let score = |h: &[f64], i: usize| -> f64 { h[i] * (f_star[i] / f_max).powf(0.0) };
     while selected.len() < k {
-        let h = frozen_hitting_time(walk, &targets, 20, 0);
+        let h = frozen_hitting_time(layers, [[1.0 / 3.0; 3]; 3], &targets, 20, 0);
         let next = pool
             .iter()
             .copied()
@@ -148,18 +360,19 @@ fn frozen_select_scored(
 /// `CrossBipartiteWalk::hitting_time_with_threads` as shipped before the
 /// two-phase kernel: the augmented chain flattened to one `3q` state
 /// vector, each state recomputing every layer's row product it needs.
-/// Frozen — the oracle the live kernel must match bit for bit.
+/// `transitions` are the walk's layers in `{U, S, T}` order and `n` its
+/// cross matrix. Frozen — the oracle the live kernel must match bit for
+/// bit.
 fn frozen_hitting_time(
-    walk: &CrossBipartiteWalk,
+    transitions: [&CsrMatrix; 3],
+    n: [[f64; 3]; 3],
     targets: &[usize],
     horizon: usize,
     threads: usize,
 ) -> Vec<f64> {
     const MIN_WORK_PER_THREAD: usize = 16_384;
-    let transitions = EntityKind::ALL.map(|kind| walk.layer(kind));
-    let n = walk.cross_matrix();
     assert!(!targets.is_empty(), "hitting_time: empty target set");
-    let q = walk.num_queries();
+    let q = transitions[0].rows();
     let mut in_target = vec![false; q];
     for &t in targets {
         assert!(t < q, "hitting_time: target {t} out of range");
@@ -245,7 +458,8 @@ fn kernel_mismatch(
         targets.push(targets[0]);
         for (name, walk) in &walks {
             for horizon in [0usize, 1, 2, 20] {
-                let want = frozen_hitting_time(walk, &targets, horizon, 1);
+                let layers = EntityKind::ALL.map(|kind| walk.layer(kind));
+                let want = frozen_hitting_time(layers, walk.cross_matrix(), &targets, horizon, 1);
                 for threads in [1usize, 2, 4] {
                     walk.hitting_time_into(&targets, horizon, threads, scratch, &mut out);
                     if out
@@ -293,6 +507,61 @@ fn hitting_time_kernel_matches_frozen_sweep_past_the_work_gate() {
         "kernel diverged: {}",
         mismatch.unwrap_or_default()
     );
+}
+
+/// Raw bits of a matrix's CSR arrays.
+fn part_bits(m: &CsrMatrix) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+    let (p, c, v) = m.parts();
+    (
+        p.to_vec(),
+        c.to_vec(),
+        v.iter().map(|x| x.to_bits()).collect(),
+    )
+}
+
+/// The live memo-miss layers against the frozen oracles for one seed set:
+/// the expansion's member order, the three projected matrices' CSR arrays
+/// and the Eq. 15 coefficient's, all bit for bit. Returns the first
+/// mismatch.
+fn memo_miss_mismatch(
+    multi: &MultiBipartite,
+    seeds: &[QueryId],
+    config: &CompactConfig,
+) -> Option<String> {
+    let compact = CompactMulti::expand(multi, seeds, config);
+    let members = frozen_expand(multi, seeds, config);
+    if compact.queries() != members.as_slice() {
+        return Some(format!("member order, seeds {seeds:?}, {config:?}"));
+    }
+    let matrices = frozen_project(multi, &members);
+    for kind in EntityKind::ALL {
+        if part_bits(compact.matrix(kind)) != part_bits(&matrices[kind as usize]) {
+            return Some(format!("{kind:?} matrix, seeds {seeds:?}, {config:?}"));
+        }
+    }
+    let reg = RegularizationConfig::default();
+    let live = Regularizer::new(&compact, reg);
+    if part_bits(live.coefficient()) != part_bits(&frozen_coefficient(&matrices, reg)) {
+        return Some(format!("Eq. 15 coefficient, seeds {seeds:?}, {config:?}"));
+    }
+    None
+}
+
+/// The memo-miss layers at the serving shape: default expansions (512
+/// queries) on the default synthetic world, single and contextual seed
+/// sets.
+#[test]
+fn memo_miss_layers_match_frozen_oracles_at_the_serving_shape() {
+    let s = generate(&SynthConfig::default());
+    let engine = PqsDa::build_from_entries(&s.log.entries(), &EngineBuildOptions::default());
+    let records = engine.log().records();
+    for i in [0usize, 1, records.len() / 2] {
+        let seeds = [records[i].query, records[i + 1].query];
+        for seeds in [&seeds[..1], &seeds[..]] {
+            let mismatch = memo_miss_mismatch(engine.multi(), seeds, &CompactConfig::default());
+            assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+        }
+    }
 }
 
 /// Anonymous, contextual and personalized requests over the log's
@@ -374,6 +643,37 @@ proptest! {
         let mismatch =
             kernel_mismatch(&compacts, cross_matrix_from(&weights), &targets, &mut scratch);
         prop_assert!(mismatch.is_none(), "kernel diverged: {}", mismatch.unwrap_or_default());
+    }
+
+    /// Live expansion, projection and Eq. 15 assembly against the frozen
+    /// oracles (see `memo_miss_mismatch`) for random 1–3-query seed sets,
+    /// drawn from the log's records so duplicates occur, plus each set
+    /// with its first seed repeated — at the default, a small and a
+    /// random `CompactConfig`.
+    #[test]
+    fn memo_miss_layers_match_frozen_oracles(
+        seed in 0u64..400,
+        picks in prop::collection::vec(0usize..10_000, 1..4),
+        max_queries in 2usize..64,
+        max_rounds in 1usize..5,
+    ) {
+        let s = generate(&SynthConfig::tiny(seed));
+        let engine = PqsDa::build_from_entries(&s.log.entries(), &EngineBuildOptions::default());
+        let records = engine.log().records();
+        let mut seeds: Vec<QueryId> =
+            picks.iter().map(|&i| records[i % records.len()].query).collect();
+        let configs = [
+            CompactConfig::default(),
+            CompactConfig { max_queries: 24, max_rounds: 2 },
+            CompactConfig { max_queries, max_rounds },
+        ];
+        for _ in 0..2 {
+            for config in &configs {
+                let mismatch = memo_miss_mismatch(engine.multi(), &seeds, config);
+                prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+            }
+            seeds.push(seeds[0]);
+        }
     }
 
     /// BiRank is bit-deterministic: repeat builds and every thread count

@@ -16,9 +16,10 @@
 
 use crate::bipartite::EntityKind;
 use crate::multi::MultiBipartite;
-use pqsda_linalg::csr::{CooBuilder, CsrMatrix};
+use pqsda_linalg::csr::CsrMatrix;
 use pqsda_querylog::QueryId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Controls for [`CompactMulti::expand`].
 #[derive(Clone, Copy, Debug)]
@@ -41,8 +42,16 @@ impl Default for CompactConfig {
 /// A sub-representation over a selected query set. Queries are re-indexed
 /// locally (`0..len`); entity columns keep their global ids, and edges are
 /// restricted to the member rows.
+///
+/// Clones share storage, so the engine's memo entry and the Algorithm 1
+/// backend that builds its walk from the representation hold one copy.
 #[derive(Clone, Debug)]
 pub struct CompactMulti {
+    shared: Arc<Members>,
+}
+
+#[derive(Debug)]
+struct Members {
     /// Local index → global query id.
     queries: Vec<QueryId>,
     /// Global query id → local index.
@@ -78,17 +87,33 @@ impl CompactMulti {
             .map(|q| (q.index(), 1.0 / members.len() as f64))
             .collect();
 
+        // One round's propagated mass, dense over all queries, with the
+        // queries it reached listed in `touched` (a reached query counts
+        // even when its mass sums to exactly 0.0). Both are reset after
+        // every round, so the call allocates them once.
+        let mut mass = vec![0.0f64; n];
+        let mut reached = vec![false; n];
+        let mut touched: Vec<usize> = Vec::new();
+        // Each entity's total query weight `Σ qvals`, per bipartite,
+        // computed on first use within this call (0.0 = not yet computed;
+        // a row whose weights really sum to 0.0 is just recomputed).
+        let mut qsums: [Vec<f64>; 3] = Default::default();
+
         for _ in 0..config.max_rounds {
             if members.len() >= config.max_queries || frontier.is_empty() {
                 break;
             }
             // Propagate one two-step hop through each bipartite; average
             // the three bipartites (the paper uses equal weights absent
-            // prior knowledge, §IV-C).
-            let mut mass: HashMap<usize, f64> = HashMap::new();
-            for b in full.iter() {
+            // prior knowledge, §IV-C). Every query receives its additions
+            // in this fixed loop order, so its mass has the same bits
+            // however the accumulator is stored.
+            for (b, qsum_of) in full.iter().zip(qsums.iter_mut()) {
                 let m = b.matrix();
                 let t = b.transposed();
+                if qsum_of.is_empty() {
+                    *qsum_of = vec![0.0; t.rows()];
+                }
                 for &(q, w) in &frontier {
                     let (ents, evals) = m.row(q);
                     let esum: f64 = evals.iter().sum();
@@ -97,22 +122,32 @@ impl CompactMulti {
                     }
                     for (&e, &ev) in ents.iter().zip(evals) {
                         let (qs, qvals) = t.row(e as usize);
-                        let qsum: f64 = qvals.iter().sum();
+                        let mut qsum = qsum_of[e as usize];
+                        if qsum == 0.0 {
+                            qsum = qvals.iter().sum();
+                            qsum_of[e as usize] = qsum;
+                        }
                         if qsum <= 0.0 {
                             continue;
                         }
                         let p_e = ev / esum / 3.0;
                         for (&q2, &qv) in qs.iter().zip(qvals) {
-                            *mass.entry(q2 as usize).or_insert(0.0) += w * p_e * qv / qsum;
+                            let q2 = q2 as usize;
+                            if !reached[q2] {
+                                reached[q2] = true;
+                                touched.push(q2);
+                            }
+                            mass[q2] += w * p_e * qv / qsum;
                         }
                     }
                 }
             }
+            touched.sort_unstable();
             // Admit the heaviest new queries.
-            let mut new: Vec<(usize, f64)> = mass
+            let mut new: Vec<(usize, f64)> = touched
                 .iter()
-                .filter(|(q, _)| !in_set[**q])
-                .map(|(&q, &w)| (q, w))
+                .filter(|&&q| !in_set[q])
+                .map(|&q| (q, mass[q]))
                 .collect();
             new.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
             let room = config.max_queries - members.len();
@@ -120,17 +155,19 @@ impl CompactMulti {
                 in_set[q] = true;
                 members.push(QueryId::from_index(q));
             }
-            // Next frontier: full propagated mass restricted to members.
-            // Sorted by query index — HashMap iteration order is seeded
-            // per instance, and the frontier's order is the float
-            // accumulation order of the next round, so leaving it
-            // unsorted makes scores differ across engines at the ULP
-            // level (breaking the serving layer's reply bit-identity).
-            frontier = mass
-                .into_iter()
-                .filter(|&(q, w)| in_set[q] && w > 1e-12)
+            // Next frontier: full propagated mass restricted to members,
+            // in query-index order — the float accumulation order of the
+            // next round.
+            frontier = touched
+                .iter()
+                .filter(|&&q| in_set[q] && mass[q] > 1e-12)
+                .map(|&q| (q, mass[q]))
                 .collect();
-            frontier.sort_unstable_by_key(|&(q, _)| q);
+            for &q in &touched {
+                mass[q] = 0.0;
+                reached[q] = false;
+            }
+            touched.clear();
         }
 
         Self::project(full, members)
@@ -142,56 +179,50 @@ impl CompactMulti {
         let index: HashMap<QueryId, usize> =
             members.iter().enumerate().map(|(i, &q)| (q, i)).collect();
         assert_eq!(index.len(), members.len(), "duplicate members");
-        let matrices = [EntityKind::Url, EntityKind::Session, EntityKind::Term].map(|kind| {
-            let src = full.get(kind).matrix();
-            let mut b = CooBuilder::new(members.len(), src.cols());
-            for (local, q) in members.iter().enumerate() {
-                let (cols, vals) = src.row(q.index());
-                for (&c, &v) in cols.iter().zip(vals) {
-                    b.push(local, c as usize, v);
-                }
-            }
-            b.build()
-        });
+        let rows: Vec<usize> = members.iter().map(|q| q.index()).collect();
+        let matrices = [EntityKind::Url, EntityKind::Session, EntityKind::Term]
+            .map(|kind| full.get(kind).matrix().select_rows(&rows));
         CompactMulti {
-            queries: members,
-            index,
-            matrices,
+            shared: Arc::new(Members {
+                queries: members,
+                index,
+                matrices,
+            }),
         }
     }
 
     /// Number of queries in the compact set.
     pub fn len(&self) -> usize {
-        self.queries.len()
+        self.shared.queries.len()
     }
 
     /// True when the compact set is empty (never produced by `expand`).
     pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
+        self.shared.queries.is_empty()
     }
 
     /// Local → global mapping.
     pub fn global(&self, local: usize) -> QueryId {
-        self.queries[local]
+        self.shared.queries[local]
     }
 
     /// Global → local mapping.
     pub fn local(&self, q: QueryId) -> Option<usize> {
-        self.index.get(&q).copied()
+        self.shared.index.get(&q).copied()
     }
 
     /// All member queries in local order.
     pub fn queries(&self) -> &[QueryId] {
-        &self.queries
+        &self.shared.queries
     }
 
     /// The member-row matrix of one bipartite (local rows × global
     /// entity columns).
     pub fn matrix(&self, kind: EntityKind) -> &CsrMatrix {
         match kind {
-            EntityKind::Url => &self.matrices[0],
-            EntityKind::Session => &self.matrices[1],
-            EntityKind::Term => &self.matrices[2],
+            EntityKind::Url => &self.shared.matrices[0],
+            EntityKind::Session => &self.shared.matrices[1],
+            EntityKind::Term => &self.shared.matrices[2],
         }
     }
 }

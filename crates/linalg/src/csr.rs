@@ -433,6 +433,12 @@ impl CsrMatrix {
 
     /// Entry-wise linear combination `alpha * self + beta * other`.
     ///
+    /// Both operands' rows are already sorted, so each output row is one
+    /// merge of the two, written straight into the CSR arrays. A cell
+    /// stored in both computes `alpha * a + beta * b`, a cell stored in
+    /// one computes its own scaled value, and a result of exactly 0.0 is
+    /// dropped.
+    ///
     /// # Panics
     /// Panics on shape mismatch.
     pub fn add_scaled(&self, alpha: f64, other: &CsrMatrix, beta: f64) -> CsrMatrix {
@@ -441,7 +447,10 @@ impl CsrMatrix {
             (other.rows, other.cols),
             "add_scaled: shape mismatch"
         );
-        let mut builder = CooBuilder::new(self.rows, self.cols);
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::with_capacity(self.nnz() + other.nnz());
+        let mut values = Vec::with_capacity(self.nnz() + other.nnz());
         for r in 0..self.rows {
             let (ac, av) = self.row(r);
             let (bc, bv) = other.row(r);
@@ -464,11 +473,52 @@ impl CsrMatrix {
                     out
                 };
                 if v != 0.0 {
-                    builder.push(r, c as usize, v);
+                    col_idx.push(c);
+                    values.push(v);
                 }
             }
+            row_ptr.push(col_idx.len());
         }
-        builder.build()
+        let m = CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
+            values: values.into(),
+        };
+        debug_assert!(m.check_invariants());
+        m
+    }
+
+    /// The listed rows, in the listed order, as a new matrix with the same
+    /// column space: output row `i` is a verbatim copy of row `rows[i]`.
+    ///
+    /// # Panics
+    /// Panics if a listed row is out of range.
+    pub fn select_rows(&self, rows: &[usize]) -> CsrMatrix {
+        let nnz: usize = rows
+            .iter()
+            .map(|&r| self.row_ptr[r + 1] - self.row_ptr[r])
+            .sum();
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for &r in rows {
+            let (cols, vals) = self.row(r);
+            col_idx.extend_from_slice(cols);
+            values.extend_from_slice(vals);
+            row_ptr.push(col_idx.len());
+        }
+        let m = CsrMatrix {
+            rows: rows.len(),
+            cols: self.cols,
+            row_ptr: row_ptr.into(),
+            col_idx: col_idx.into(),
+            values: values.into(),
+        };
+        debug_assert!(m.check_invariants());
+        m
     }
 
     /// Linear-time merge of sparse count updates into a (possibly grown)
@@ -857,6 +907,17 @@ mod tests {
         assert_eq!(s.get(1, 1), 2.0);
         assert_eq!(s.get(2, 1), 4.0);
         assert!(s.check_invariants());
+    }
+
+    #[test]
+    fn select_rows_copies_rows_in_listed_order() {
+        let m = sample();
+        let s = m.select_rows(&[2, 1, 0, 2]);
+        assert_eq!((s.rows(), s.cols()), (4, 3));
+        for (i, &r) in [2usize, 1, 0, 2].iter().enumerate() {
+            assert_eq!(s.row(i), m.row(r), "row {i}");
+        }
+        assert_eq!(m.select_rows(&[]).nnz(), 0);
     }
 
     #[test]

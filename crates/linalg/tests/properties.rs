@@ -225,3 +225,88 @@ proptest! {
         prop_assert_eq!(c1.iterations, cn.iterations);
     }
 }
+
+/// `CsrMatrix::add_scaled` as it shipped with a `CooBuilder` round-trip:
+/// the same sorted row merge, pushed as triplets and re-sorted into CSR.
+/// The oracle the direct-to-CSR merge must match bit for bit.
+fn coo_add_scaled(a: &CsrMatrix, alpha: f64, b: &CsrMatrix, beta: f64) -> CsrMatrix {
+    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+    let mut builder = CooBuilder::new(a.rows(), a.cols());
+    for r in 0..a.rows() {
+        let (ac, av) = a.row(r);
+        let (bc, bv) = b.row(r);
+        let (mut i, mut j) = (0, 0);
+        while i < ac.len() || j < bc.len() {
+            let take_a = j >= bc.len() || (i < ac.len() && ac[i] <= bc[j]);
+            let take_b = i >= ac.len() || (j < bc.len() && bc[j] <= ac[i]);
+            let (c, v) = if take_a && take_b {
+                let out = (ac[i], alpha * av[i] + beta * bv[j]);
+                i += 1;
+                j += 1;
+                out
+            } else if take_a {
+                let out = (ac[i], alpha * av[i]);
+                i += 1;
+                out
+            } else {
+                let out = (bc[j], beta * bv[j]);
+                j += 1;
+                out
+            };
+            if v != 0.0 {
+                builder.push(r, c as usize, v);
+            }
+        }
+    }
+    builder.build()
+}
+
+/// Raw bits of a matrix's CSR arrays.
+fn part_bits(m: &CsrMatrix) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+    let (p, c, v) = m.parts();
+    (
+        p.to_vec(),
+        c.to_vec(),
+        v.iter().map(|x| x.to_bits()).collect(),
+    )
+}
+
+/// Triplets with values on a coarse grid of mixed signs, so that sums and
+/// scaled differences cancel to exactly 0.0 often.
+fn grid_triplets(rows: usize, cols: usize) -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
+    prop::collection::vec(
+        (0..rows, 0..cols, -4i32..5).prop_map(|(r, c, v)| (r, c, f64::from(v) / 2.0)),
+        0..(rows * cols).min(40),
+    )
+}
+
+/// Scale factors with exact zeros, signs and a non-dyadic value.
+fn scale() -> impl Strategy<Value = f64> {
+    (0usize..7).prop_map(|i| [0.0, 1.0, -1.0, 2.0, -0.5, 0.6, -0.6][i])
+}
+
+proptest! {
+    /// The direct merge reproduces the COO round-trip bit for bit: cells
+    /// cancelling to exactly 0.0 are dropped, explicit stored zeros in an
+    /// operand vanish, and empty rows stay empty.
+    #[test]
+    fn add_scaled_matches_coo_reference(
+        a in grid_triplets(8, 6),
+        b in grid_triplets(8, 6),
+        noise in triplets(8, 6),
+        alpha in scale(),
+        beta in scale(),
+    ) {
+        let a = build(8, 6, &a);
+        let b = build(8, 6, &b);
+        let noisy = build(8, 6, &noise);
+        for (x, y) in [(&a, &b), (&a, &a), (&b, &a), (&noisy, &a), (&a, &noisy)] {
+            prop_assert_eq!(
+                part_bits(&x.add_scaled(alpha, y, beta)),
+                part_bits(&coo_add_scaled(x, alpha, y, beta))
+            );
+        }
+        // a − a cancels every cell: the result stores nothing.
+        prop_assert_eq!(a.add_scaled(1.0, &a, -1.0).nnz(), 0);
+    }
+}

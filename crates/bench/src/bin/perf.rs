@@ -17,6 +17,11 @@
 //!   preparation is gated at ≤ 1.15× the assembly (median of 101
 //!   alternating pairs, the `miss_for_backend` row's ratio): the
 //!   Algorithm 1 walk is built on first use, not on the miss.
+//! - `hit_selection` — a memo-hit `PqsDa::diversify_scored` at the same
+//!   shape and k = 10, whose Algorithm 1 selection is resident in its
+//!   entry, gated at ≤ 0.1× recomputing it with
+//!   `Diversifier::select_global_scored` (median of 101 alternating
+//!   pairs, the row's ratio).
 //! - `solver`     — Jacobi on the Eq. 15 regularization system.
 //! - `gibbs`      — one UPM training run (collapsed Gibbs sweeps).
 //!
@@ -62,7 +67,7 @@
 
 use pqsda::crosswalk::{CrossBipartiteWalk, HittingTimeScratch};
 use pqsda::regularize::{RegularizationConfig, Regularizer};
-use pqsda::{Diversifier, DiversifyConfig, EngineBuildOptions, PqsDa, RelevanceKind};
+use pqsda::{Diversifier, DiversifyConfig, EngineBuildOptions, PqsDa, PqsDaConfig, RelevanceKind};
 use pqsda_baselines::SuggestRequest;
 use pqsda_bench::loadgen::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 use pqsda_bench::scenario::{frontier, run_all, run_backends, ScenarioOptions};
@@ -72,7 +77,7 @@ use pqsda_graph::compact::{CompactConfig, CompactMulti};
 use pqsda_graph::walk::two_step_transition_with_threads;
 use pqsda_linalg::solver::Jacobi;
 use pqsda_net::{NetAddr, NetConfig, NetRouter, ShardServer, ShardServerConfig};
-use pqsda_querylog::QueryLog;
+use pqsda_querylog::{QueryId, QueryLog};
 use pqsda_serve::store::{load_server, save_server};
 use pqsda_serve::{FaultConfig, FaultPlan, PartitionKey, ServeConfig, ShardedPqsDa};
 use pqsda_topics::{Corpus, TrainConfig, Upm, UpmConfig};
@@ -378,6 +383,61 @@ fn main() {
             ratio_key,
         });
     }
+
+    // Memo hit at the same serving shape, k = 10: a repeated request whose
+    // selection is resident in its entry, against Algorithm 1 recomputed
+    // on a bit-identical entry (the same expansion and preparation, built
+    // above). Ratio gate on the same median-of-101-pairs protocol: the hit
+    // costs at most 0.1x the recompute (~1x if the memo were bypassed).
+    let engine = PqsDa::new(
+        world.log().clone(),
+        world.multi_weighted.clone(),
+        None,
+        PqsDaConfig::default(),
+    );
+    let hit_req = SuggestRequest::simple(input, 10);
+    let input_local = serving.local(input).expect("input is a seed");
+    let recompute =
+        Diversifier::for_backend(&serving, DiversifyConfig::default(), RelevanceKind::Eq15);
+    let score_bits = |list: Vec<(QueryId, f64)>| -> Vec<(QueryId, u64)> {
+        list.into_iter().map(|(q, s)| (q, s.to_bits())).collect()
+    };
+    assert_eq!(
+        score_bits(engine.diversify_scored(&hit_req)),
+        score_bits(recompute.select_global_scored(&serving, input_local, &[], 10)),
+        "hit_selection: the engine's selection differs from the recompute"
+    );
+    let hit_ns = time_ns(|| engine.diversify_scored(&hit_req));
+    let mut pairs: Vec<(f64, f64, f64)> = (0..101)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(engine.diversify_scored(&hit_req));
+            let hit = t.elapsed().as_nanos() as f64;
+            let t = Instant::now();
+            std::hint::black_box(recompute.select_global_scored(&serving, input_local, &[], 10));
+            let full = t.elapsed().as_nanos().max(1) as f64;
+            (hit / full, hit, full)
+        })
+        .collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (hit_over_full, hit_pair_ns, full_pair_ns) = pairs[pairs.len() / 2];
+    eprintln!(
+        "  memo hit (q {}, k 10): diversify_scored {hit_ns:.0} ns; \
+         hit / select_global_scored {hit_over_full:.4}x",
+        serving.len()
+    );
+    assert!(
+        hit_over_full <= 0.1,
+        "a memo-hit diversify_scored must cost at most 0.1x recomputing Algorithm 1, got \
+         {hit_over_full:.3}x ({hit_pair_ns:.0} vs {full_pair_ns:.0} ns)"
+    );
+    rows.push(Row {
+        bench: "hit_selection",
+        threads: 1,
+        ns_per_iter: hit_ns,
+        ratio: hit_over_full,
+        ratio_key: "paired_over_recompute",
+    });
 
     // solver: Jacobi on the Eq. 15 system of a 256-query expansion around
     // the same query.

@@ -443,7 +443,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         None => {
             let stats = server.stats();
             eprintln!(
-                "served by {}/{} shard snapshot(s){}; generations {:?}; cache {}h/{}m",
+                "served by {}/{} shard snapshot(s){}; generations {:?}; cache {}h/{}m; \
+                 selections {}h/{}m",
                 reply.coverage.answered,
                 reply.coverage.consulted,
                 if reply.coverage.is_degraded() {
@@ -453,7 +454,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 },
                 stats.generations,
                 stats.cache.hits,
-                stats.cache.misses
+                stats.cache.misses,
+                stats.cache.selection_hits,
+                stats.cache.selection_misses
             );
         }
     }

@@ -53,6 +53,11 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
+    /// Requests whose Algorithm 1 selection was resident in their memo
+    /// entry (filled by `PqsDa::cache_stats`; 0 from a bare cache).
+    pub selection_hits: u64,
+    /// Requests that ran Algorithm 1 and stored its selection.
+    pub selection_misses: u64,
 }
 
 struct Slot<V> {
@@ -203,6 +208,7 @@ impl<K: Hash + Eq, V> ShardedLruCache<K, V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            ..CacheStats::default()
         }
     }
 

@@ -11,6 +11,7 @@ use crate::backend::RelevanceKind;
 use crate::cache::{CacheConfig, CacheStats, ShardedLruCache};
 use crate::diversify::{Diversifier, DiversifyConfig};
 use crate::personalize::Personalizer;
+use parking_lot::Mutex;
 use pqsda_baselines::{Backend, SuggestRequest, Suggester};
 use pqsda_graph::compact::{CompactConfig, CompactMulti};
 use pqsda_graph::multi::MultiBipartite;
@@ -20,6 +21,12 @@ use pqsda_querylog::session::{
 };
 use pqsda_querylog::{LogEntry, QueryId, QueryLog};
 use pqsda_topics::{Corpus, TrainConfig, Upm, UpmConfig};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Algorithm 1 selections one expansion-memo entry keeps resident; the
+/// oldest is replaced first.
+const SELECTION_SLOTS: usize = 4;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug, Default)]
@@ -127,8 +134,11 @@ pub struct PqsDa {
     /// expansion (§IV-A) plus the Eq. 15 assembly, several times the CG
     /// solve a hit pays. The entry's Algorithm 1 walk is built inside it
     /// on the first request with `k ≥ 2`, so k = 1 traffic never pays
-    /// for it. Sharded and LRU-bounded so concurrent requests don't
-    /// serialize on one lock and residency stays bounded.
+    /// for it. Each entry also keeps its last [`SELECTION_SLOTS`]
+    /// diversified lists, keyed by the resolved context (local index and
+    /// age) and `k`: a repeated request skips the CG solve and the
+    /// Algorithm 1 rounds. Sharded and LRU-bounded so concurrent requests
+    /// don't serialize on one lock and residency stays bounded.
     ///
     /// The key carries the [`RelevanceKind`], not the raw request
     /// backend: `Eq15` and `IntentFused` run the identical expansion,
@@ -136,11 +146,62 @@ pub struct PqsDa {
     /// downstream of the memo), so sharing their entry is exact — while
     /// `BiRank` scores differently and must never share one.
     cache: ShardedLruCache<(RelevanceKind, Vec<QueryId>), CompactCacheEntry>,
+    /// Requests served from an entry's selection memo.
+    selection_hits: AtomicU64,
+    /// Requests that ran Algorithm 1 and stored their selection.
+    selection_misses: AtomicU64,
 }
 
 struct CompactCacheEntry {
     compact: CompactMulti,
     diversifier: Diversifier,
+    /// Resident Algorithm 1 selections, oldest first, at most
+    /// [`SELECTION_SLOTS`]. The entry fixes the relevance kind, the seed
+    /// set and the input (`seeds[0]`), so the selection is a pure function
+    /// of the resolved context and `k` — the slot key.
+    selections: Mutex<VecDeque<SelectionSlot>>,
+}
+
+struct SelectionSlot {
+    /// Resolved context in request order, duplicates kept:
+    /// (local index, age).
+    context: Vec<(usize, u64)>,
+    k: usize,
+    /// The diversified list before personalization.
+    selection: Vec<(QueryId, f64)>,
+}
+
+impl SelectionSlot {
+    fn serves(&self, context: &[(usize, u64)], k: usize) -> bool {
+        self.k == k && self.context == context
+    }
+}
+
+impl CompactCacheEntry {
+    fn resident(&self, context: &[(usize, u64)], k: usize) -> Option<Vec<(QueryId, f64)>> {
+        self.selections
+            .lock()
+            .iter()
+            .find(|s| s.serves(context, k))
+            .map(|s| s.selection.clone())
+    }
+
+    /// Stores a selection unless a racing request already did, replacing
+    /// the oldest slot when all are taken.
+    fn store(&self, context: Vec<(usize, u64)>, k: usize, selection: &[(QueryId, f64)]) {
+        let mut slots = self.selections.lock();
+        if slots.iter().any(|s| s.serves(&context, k)) {
+            return;
+        }
+        if slots.len() == SELECTION_SLOTS {
+            slots.pop_front();
+        }
+        slots.push_back(SelectionSlot {
+            context,
+            k,
+            selection: selection.to_vec(),
+        });
+    }
 }
 
 impl PqsDa {
@@ -163,6 +224,8 @@ impl PqsDa {
             multi,
             personalizer,
             cache: ShardedLruCache::new(config.cache),
+            selection_hits: AtomicU64::new(0),
+            selection_misses: AtomicU64::new(0),
             config,
         }
     }
@@ -315,9 +378,14 @@ impl PqsDa {
         self.personalizer.as_ref()
     }
 
-    /// Expansion-memo counters (hits/misses/evictions).
+    /// Expansion-memo counters (hits/misses/evictions) and the selection
+    /// memo's hits/misses.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            selection_hits: self.selection_hits.load(Ordering::Relaxed),
+            selection_misses: self.selection_misses.load(Ordering::Relaxed),
+            ..self.cache.stats()
+        }
     }
 
     /// Runs only the diversification component (§IV) — the paper's
@@ -351,6 +419,7 @@ impl PqsDa {
             CompactCacheEntry {
                 compact,
                 diversifier,
+                selections: Mutex::new(VecDeque::with_capacity(SELECTION_SLOTS)),
             }
         });
 
@@ -369,9 +438,19 @@ impl PqsDa {
                     .map(|l| (l, req.query_time.saturating_sub(t)))
             })
             .collect();
-        entry
-            .diversifier
-            .select_global_scored(&entry.compact, input_local, &context, req.k)
+        if let Some(selection) = entry.resident(&context, req.k) {
+            self.selection_hits.fetch_add(1, Ordering::Relaxed);
+            return selection;
+        }
+        self.selection_misses.fetch_add(1, Ordering::Relaxed);
+        // Runs without the slot lock; a racing request computes the same
+        // list, and only the first store takes a slot.
+        let selection =
+            entry
+                .diversifier
+                .select_global_scored(&entry.compact, input_local, &context, req.k);
+        entry.store(context, req.k, &selection);
+        selection
     }
 
     /// [`Suggester::suggest`] with relevance scores attached: the
@@ -394,12 +473,14 @@ impl PqsDa {
                     }
                     Backend::Eq15 | Backend::BiRank => p.rerank(user, &self.log, &qids),
                 };
-                // Scores travel with their query through the rerank.
-                let score_of: std::collections::HashMap<QueryId, f64> =
-                    diversified.into_iter().collect();
+                // Scores travel with their query through the rerank, a
+                // permutation of the ≤ k distinct diversified ids.
                 reranked
                     .into_iter()
-                    .map(|q| (q, score_of.get(&q).copied().unwrap_or(0.0)))
+                    .map(|q| {
+                        let score = diversified.iter().find(|&&(d, _)| d == q);
+                        (q, score.map(|&(_, s)| s).unwrap_or(0.0))
+                    })
                     .collect()
             }
             _ => diversified,
@@ -712,19 +793,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apply_delta_carries_k1_warmed_entries_exactly() {
-        // Entries warmed at k = 1 only reach the new engine without a
-        // walk; their first k = 10 request builds it there and must match
-        // a cold rebuild.
-        // A second topic island keeps its entries out of the delta's
-        // invalidation scope, so some are carried over.
+    /// The two-facet log plus a second topic island, which keeps its
+    /// entries out of a final-entry delta's invalidation scope, so some are
+    /// carried over.
+    fn two_island_entries() -> Vec<LogEntry> {
         let mut entries = vec![
             LogEntry::new(UserId(3), "weather paris", Some("meteo.fr"), 10),
             LogEntry::new(UserId(3), "weather lyon", Some("meteo.fr"), 40),
             LogEntry::new(UserId(3), "rain radar", Some("radar.fr"), 70),
         ];
         entries.extend(build_engine(false).log().entries());
+        entries
+    }
+
+    #[test]
+    fn apply_delta_carries_k1_warmed_entries_exactly() {
+        // Entries warmed at k = 1 only reach the new engine without a
+        // walk; their first k = 10 request builds it there and must match
+        // a cold rebuild.
+        let entries = two_island_entries();
         let opts = EngineBuildOptions {
             scheme: WeightingScheme::CfIqf,
             ..EngineBuildOptions::default()
@@ -741,6 +828,95 @@ mod tests {
             let req = SuggestRequest::simple(QueryId::from_index(q), 10);
             assert_eq!(reply_bits(&warm, &req), reply_bits(&cold, &req), "q={q}");
         }
+    }
+
+    #[test]
+    fn apply_delta_serves_carried_selections_exactly() {
+        // Selections resident before the delta travel inside their carried
+        // entries; served from there, they must match a cold rebuild
+        // answering each request alone.
+        let entries = two_island_entries();
+        let opts = EngineBuildOptions {
+            scheme: WeightingScheme::CfIqf,
+            ..EngineBuildOptions::default()
+        };
+        let cut = entries.len() - 1;
+        let base = PqsDa::build_from_entries(&entries[..cut], &opts);
+        let n = base.log().num_queries();
+        let reqs: Vec<SuggestRequest> = (0..n)
+            .flat_map(|q| {
+                let c = QueryId::from_index((q + 1) % n);
+                let q = QueryId::from_index(q);
+                [
+                    SuggestRequest::simple(q, 1),
+                    SuggestRequest::simple(q, 10),
+                    SuggestRequest::simple(q, 10).with_context(vec![c], vec![700], 1000),
+                ]
+            })
+            .collect();
+        for req in &reqs {
+            base.suggest(req);
+        }
+        let (warm, report) = base.apply_delta(&entries[cut..], &opts).unwrap();
+        assert!(report.cache_retained > 0, "{report:?}");
+        for req in &reqs {
+            let cold = PqsDa::build_from_entries(&entries, &opts);
+            assert_eq!(reply_bits(&warm, req), reply_bits(&cold, req), "{req:?}");
+        }
+        assert!(warm.cache_stats().selection_hits > 0, "nothing was carried");
+    }
+
+    #[test]
+    fn concurrent_requests_on_one_entry_stay_exact_and_bounded() {
+        // Nine (k, age) keys on one seed set, more than an entry's slots,
+        // served from four threads in different orders: slots are replaced
+        // under contention, yet every reply equals a fresh engine's and
+        // the entry never holds more than SELECTION_SLOTS selections.
+        let engine = build_engine(false);
+        let sun = engine.log().find_query("sun").unwrap();
+        let java = engine.log().find_query("sun java").unwrap();
+        let reqs: Vec<SuggestRequest> = [2usize, 5, 10]
+            .into_iter()
+            .flat_map(|k| {
+                [30u64, 60, 90].map(|age| {
+                    SuggestRequest::simple(sun, k).with_context(vec![java], vec![1000 - age], 1000)
+                })
+            })
+            .collect();
+        let want: Vec<_> = reqs
+            .iter()
+            .map(|r| reply_bits(&build_engine(false), r))
+            .collect();
+        engine.suggest(&reqs[0]);
+        let resident = engine.cache.entries();
+        assert_eq!(resident.len(), 1);
+        let entry = &resident[0].1;
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (engine, reqs, want, start) = (&engine, &reqs, &want, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let n = reqs.len();
+                    for round in 0..20 {
+                        for i in 0..n {
+                            let i = (if t % 2 == 0 { i } else { n - 1 - i } + round + t) % n;
+                            assert_eq!(reply_bits(engine, &reqs[i]), want[i], "thread {t}");
+                            assert!(entry.selections.lock().len() <= SELECTION_SLOTS);
+                        }
+                    }
+                });
+            }
+        });
+        let stats = engine.cache_stats();
+        assert_eq!(
+            stats.selection_hits + stats.selection_misses,
+            1 + 4 * 20 * 9
+        );
+        assert!(
+            stats.selection_hits > 0 && stats.selection_misses > 9,
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! without limit. The (single) writer drains the queue, partitions the
 //! deltas per shard and swaps rebuilt snapshots in.
 //!
-//! Built on `std::sync::mpsc::sync_channel` — the in-repo crossbeam shim
-//! has no channels, and the std bounded channel gives the same non-blocking
-//! `try_send` contract a lock-free ring would.
+//! Built on `std::sync::mpsc::sync_channel`: the std bounded channel gives
+//! the same non-blocking `try_send` contract a lock-free ring would.
 //!
 //! Deadline-aware producers use [`IngestQueue::offer_with_deadline`]: the
 //! queue projects how long a new entry will wait (current depth × the

@@ -1095,6 +1095,8 @@ impl ShardedPqsDa {
             cache.hits += c.hits;
             cache.misses += c.misses;
             cache.evictions += c.evictions;
+            cache.selection_hits += c.selection_hits;
+            cache.selection_misses += c.selection_misses;
         }
         let breaker_opens: u64 = self.shards.iter().map(|s| s.breaker.opens()).sum();
         ServeStats {

@@ -43,12 +43,12 @@ fn engine_serves_concurrent_requests_consistently() {
     // Hammer the same engine from 8 threads; every thread must see exactly
     // the single-threaded answers (the compact-representation cache is
     // shared state — this exercises it under contention).
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..8 {
             let engine = &engine;
             let queries = &queries;
             let expected = &expected;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..3 {
                     for (i, &q) in queries.iter().enumerate() {
                         let got = engine.suggest(&SuggestRequest::simple(q, 6));
@@ -60,8 +60,7 @@ fn engine_serves_concurrent_requests_consistently() {
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
 }
 
 #[test]
@@ -98,10 +97,10 @@ fn sharded_cache_stays_bounded_under_hammering() {
         shards: 4,
         capacity: 32,
     });
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..8u64 {
             let cache = &cache;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..2_000u64 {
                     // Overlapping key streams: plenty of hits, misses and
                     // evictions racing across all shards.
@@ -111,8 +110,7 @@ fn sharded_cache_stays_bounded_under_hammering() {
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
 
     assert!(
         cache.len() <= cache.num_shards() * cache.per_shard_capacity(),

@@ -17,8 +17,12 @@ cargo fmt --check
 # memo-hit `PqsDa::diversify_scored` at k = 10 costs at most 0.1x
 # recomputing Algorithm 1 on the same entry, i.e. a repeated request's
 # selection is served from its memo entry (same pair protocol), that
-# a 1% delta through `apply_delta` is digest-equal to — and at least 5x
-# cheaper than — a cold full rebuild, and that an mmap snapshot cold
+# a memo-hit k = 10 request through a 2-shard server's deadline-bounded
+# scatter-gather costs at most 6x probing the same shards serially
+# (`gather_overhead`: the caller blocks on a completion signal instead
+# of polling; same pair protocol), that a 1% delta through
+# `apply_delta` is digest-equal to — and at least 5x cheaper than — a
+# cold full rebuild, and that an mmap snapshot cold
 # start is at least 10x faster than a rebuild with bit-identical replies
 # (minimal time budget, no BENCH_perf.json write).
 cargo run --release -q -p pqsda-bench --bin perf -- --smoke

@@ -47,6 +47,12 @@
 //! capacity, recording tail latency and explicit admission-control drops
 //! at each rung.
 //!
+//! `gather_overhead` times a memo-hit k = 10 request through a 2-shard
+//! server's deadline-bounded front door against probing the same shards
+//! serially (`suggest_on`), replies asserted equal; the gather is gated
+//! at ≤ 6× the serial probes (median of 101 alternating pairs, the row's
+//! ratio): its caller blocks on a completion signal instead of polling.
+//!
 //! Three fault-tolerance rows time the degraded-serving paths of the
 //! sharded server (`serve_healthy_ft`, `serve_hedged`, `serve_degraded`):
 //! per-request latency percentiles through the replicated gather loop when
@@ -77,6 +83,7 @@ use pqsda_graph::compact::{CompactConfig, CompactMulti};
 use pqsda_graph::walk::two_step_transition_with_threads;
 use pqsda_linalg::solver::Jacobi;
 use pqsda_net::{NetAddr, NetConfig, NetRouter, ShardServer, ShardServerConfig};
+use pqsda_parallel::Deadline;
 use pqsda_querylog::{QueryId, QueryLog};
 use pqsda_serve::store::{load_server, save_server};
 use pqsda_serve::{FaultConfig, FaultPlan, PartitionKey, ServeConfig, ShardedPqsDa};
@@ -517,6 +524,62 @@ fn main() {
             .map(pqsda_serve::ServeReply::ranked)
             .collect::<Vec<_>>()
     }));
+
+    // Gather overhead: a memo-hit k = 10 request through the deadline-
+    // bounded front door (admission, probe tasks, the completion-signal
+    // gather) against the same two shards probed serially in the caller
+    // (`suggest_on`). Ratio gate on the median-of-101-pairs protocol:
+    // at most 6x (15-16x when the gather slept 300 us between polls).
+    let gather_req = &reqs[0];
+    let gathered = || {
+        let outcome = sharded.suggest_with_deadline(gather_req, Some(Deadline::in_ms(5_000)));
+        outcome
+            .reply()
+            .expect("a 5 s deadline is never shed")
+            .clone()
+    };
+    let serial = || sharded.suggest_on(gather_req, &[0, 1]);
+    let (g, s) = (gathered(), serial());
+    assert!(
+        g.suggestions.len() == s.suggestions.len()
+            && g.suggestions
+                .iter()
+                .zip(&s.suggestions)
+                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+            && g.tags == s.tags
+            && !g.coverage.is_degraded(),
+        "gather_overhead: the gathered reply differs from the serial one"
+    );
+    let gather_ns = time_ns(gathered);
+    let mut pairs: Vec<(f64, f64, f64)> = (0..101)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(gathered());
+            let gather = t.elapsed().as_nanos() as f64;
+            let t = Instant::now();
+            std::hint::black_box(serial());
+            let serial = t.elapsed().as_nanos().max(1) as f64;
+            (gather / serial, gather, serial)
+        })
+        .collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (gather_over_serial, gather_pair_ns, serial_pair_ns) = pairs[pairs.len() / 2];
+    eprintln!(
+        "  gather overhead (2 shards, k 10, memo hit): suggest_with_deadline {gather_ns:.0} ns; \
+         gathered / serial {gather_over_serial:.2}x"
+    );
+    assert!(
+        gather_over_serial <= 6.0,
+        "a memo-hit gathered request must cost at most 6x probing the same shards serially, \
+         got {gather_over_serial:.2}x ({gather_pair_ns:.0} vs {serial_pair_ns:.0} ns)"
+    );
+    rows.push(Row {
+        bench: "gather_overhead",
+        threads: 1,
+        ns_per_iter: gather_ns,
+        ratio: gather_over_serial,
+        ratio_key: "paired_over_serial",
+    });
 
     // fault-tolerant serving: per-request latency through the replicated
     // gather loop, healthy vs a slow primary replica (hedge rescues) vs a

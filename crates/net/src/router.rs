@@ -12,15 +12,15 @@
 //!   engine returns.
 //! - **Honest degradation.** A dead, slow, partitioned or backed-off
 //!   shard is dropped from the merge and reported in
-//!   [`Coverage`] — never an error, never a hang: the frame
+//!   [`pqsda_serve::Coverage`] — never an error, never a hang: the frame
 //!   carries the remaining deadline budget and socket timeouts are
 //!   clamped to it.
 //! - **Fault tolerance.** Per-shard breakers, round-robin primary with
 //!   hedged backup probes sized by the decayed latency histogram,
-//!   immediate failover on a fault — the identical slot state machine as
-//!   the in-process gather, with one addition: a replica in an open
-//!   backoff window fast-fails the attempt *without* recording a breaker
-//!   fault (see the `backoff` module docs for why).
+//!   immediate failover on a fault — the in-process server's own gather
+//!   loop ([`pqsda_serve::gather()`]), with one addition: a replica in an
+//!   open backoff window fast-fails the attempt *without* recording a
+//!   breaker fault (see the `backoff` module docs for why).
 //! - **Writer path parity.** `apply_deltas` grows the router log first
 //!   (vocabulary superset invariant), partitions the drained batch, and
 //!   ships it to every replica; a replica that cannot apply it
@@ -35,18 +35,16 @@ use crate::client::{ClientConfig, ProbeError, RemoteReplica};
 use crate::conn::NetAddr;
 use crate::proto::{backend_to_wire, WireRequest};
 use pqsda::PqsDa;
-use pqsda_parallel::{spawn_cancellable, Deadline, TaskHandle, TaskPoll};
+use pqsda_parallel::{CancelToken, Deadline, TaskPanic};
 use pqsda_querylog::{LogEntry, QueryId, QueryLog};
 use pqsda_serve::{
-    hedge_delay, merge_rank_stratified, partition_entries, Admission, AdmissionGate,
-    AdmissionStats, Breaker, BreakerState, Coverage, DecayedHistogram, FaultConfig, IngestOffer,
-    IngestQueue, IngestStats, PartitionKey, ServeOutcome, ServeReply, ShardTag, SuggestService,
-    Swap,
+    gather, partition_entries, request_targets, AdmissionGate, AdmissionStats, Answer,
+    BreakerState, Fanout, FaultConfig, GatherCounters, IngestOffer, IngestQueue, IngestStats,
+    PartitionKey, ServeOutcome, ServeReply, ShardHealth, ShardTag, SuggestService, Swap,
 };
 use pqsda_store::engine_image;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Router configuration. Shard and replica counts are implied by the
 /// address lists handed to [`NetRouter::connect`].
@@ -92,8 +90,7 @@ impl Default for NetConfig {
 struct NetShard {
     replicas: Vec<Arc<RemoteReplica>>,
     generations: Vec<AtomicU64>,
-    breaker: Breaker,
-    latency: DecayedHistogram,
+    health: ShardHealth,
 }
 
 impl NetShard {
@@ -107,17 +104,8 @@ impl NetShard {
         NetShard {
             replicas,
             generations,
-            breaker: Breaker::new(fault.breaker_threshold, fault.breaker_cooldown),
-            latency: DecayedHistogram::default(),
+            health: ShardHealth::new(fault),
         }
-    }
-
-    fn primary_for(&self, request: u64) -> usize {
-        (request % self.replicas.len() as u64) as usize
-    }
-
-    fn backup_of(&self, primary: usize) -> usize {
-        (primary + 1) % self.replicas.len()
     }
 }
 
@@ -129,14 +117,9 @@ struct Topology {
 
 #[derive(Default)]
 struct NetCounters {
-    probes: AtomicU64,
+    gather: GatherCounters,
     errors: AtomicU64,
     remote_errors: AtomicU64,
-    timeouts: AtomicU64,
-    hedges: AtomicU64,
-    failovers: AtomicU64,
-    hedge_wins: AtomicU64,
-    breaker_skips: AtomicU64,
     backoff_skips: AtomicU64,
     degraded: AtomicU64,
 }
@@ -216,59 +199,14 @@ pub struct ResizeReport {
     pub failed: Vec<(usize, usize)>,
 }
 
-/// Outcome of one remote probe attempt (the task's return value).
-enum Attempt {
-    Success(ShardTag, Vec<(QueryId, f64)>),
+/// Why one remote probe attempt failed (the task's `Err` value).
+enum NetFault {
     /// Fast-failed inside an open backoff window (not a breaker fault).
     Backoff,
     /// The peer answered with a typed error.
     Remote,
     /// Transport failure (connect, timeout, torn frame, bad bytes).
     Transport,
-}
-
-enum ProbeEvent {
-    Pending,
-    Success(ShardTag, Vec<(QueryId, f64)>),
-    Fault,
-}
-
-enum SlotState {
-    Waiting,
-    Done(ShardTag, Vec<(QueryId, f64)>),
-    Failed,
-}
-
-struct ProbeSlot {
-    shard: usize,
-    admission: Admission,
-    primary: Option<TaskHandle<Attempt>>,
-    backup: Option<TaskHandle<Attempt>>,
-    backup_spawned: bool,
-    primary_replica: usize,
-    hedge_at: Option<Instant>,
-    started: Instant,
-    /// True once any attempt failed for a reason other than backoff —
-    /// only then may the slot's failure count against the breaker.
-    real_fault: bool,
-    state: SlotState,
-}
-
-impl ProbeSlot {
-    fn rejected(shard: usize, admission: Admission, started: Instant) -> ProbeSlot {
-        ProbeSlot {
-            shard,
-            admission,
-            primary: None,
-            backup: None,
-            backup_spawned: true,
-            primary_replica: 0,
-            hedge_at: None,
-            started,
-            real_fault: false,
-            state: SlotState::Failed,
-        }
-    }
 }
 
 /// The socket-backed router. Serves [`SuggestService`] with the same
@@ -305,7 +243,7 @@ impl NetRouter {
             counters: NetCounters::default(),
             config,
         };
-        router.refresh_generations();
+        let _ = router.ping_all(); // records each replica's generation
         router
     }
 
@@ -330,10 +268,6 @@ impl NetRouter {
                     .collect()
             })
             .collect()
-    }
-
-    fn refresh_generations(&self) {
-        let _ = self.ping_all();
     }
 
     /// Shards in the current topology.
@@ -387,8 +321,9 @@ impl NetRouter {
         self.suggest_with_deadline(req, None)
     }
 
-    /// The scatter-gather core — the in-process slot state machine over
-    /// remote replicas.
+    /// The scatter-gather core: the shared [`gather`] loop over remote
+    /// replicas. A replica in an open backoff window fast-fails its
+    /// attempt without counting against the breaker.
     fn suggest_core(
         &self,
         req: &pqsda_baselines::SuggestRequest,
@@ -397,23 +332,11 @@ impl NetRouter {
         let request = self.requests.fetch_add(1, Ordering::Relaxed);
         let router = self.router.load();
         if req.query.index() >= router.num_queries() || req.k == 0 {
-            return ServeReply {
-                suggestions: Vec::new(),
-                tags: Vec::new(),
-                coverage: Coverage::default(),
-            };
+            return ServeReply::empty();
         }
         let topo = self.topology.load();
         let input_text = router.query_text(req.query).to_owned();
-        let targets: Vec<usize> = match self.config.key {
-            PartitionKey::Query => {
-                vec![pqsda_serve::route_query_text(
-                    &input_text,
-                    topo.shards.len(),
-                )]
-            }
-            PartitionKey::User => (0..topo.shards.len()).collect(),
-        };
+        let targets = request_targets(self.config.key, &input_text, topo.shards.len());
 
         // Translate once into wire form: global context ids → text,
         // dropping ids outside the router's vocabulary exactly like
@@ -434,184 +357,21 @@ impl NetRouter {
             backend: backend_to_wire(req.backend),
         };
 
-        let fc = &self.config.fault;
-        let start = Instant::now();
-        let budget = (fc.budget_ms > 0).then(|| start + Duration::from_millis(fc.budget_ms));
-        let deadline = match (budget, request_deadline.map(Deadline::instant)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-
-        let mut slots: Vec<ProbeSlot> = Vec::with_capacity(targets.len());
-        for &s in &targets {
+        let fault = &self.config.fault;
+        let fanout = Fanout::new(request, &targets, req.k, fault, request_deadline);
+        let deadline = fanout.deadline.map(Deadline::at);
+        let shard = |s: usize| {
             let shard = &topo.shards[s];
-            let admission = shard.breaker.admit();
-            if admission == Admission::Reject {
-                self.counters.breaker_skips.fetch_add(1, Ordering::Relaxed);
-                slots.push(ProbeSlot::rejected(s, admission, start));
-                continue;
-            }
-            let primary_replica = shard.primary_for(request);
-            let handle = self.spawn_probe(&router, shard, primary_replica, &wire_req, deadline);
-            slots.push(ProbeSlot {
-                shard: s,
-                admission,
-                primary: Some(handle),
-                backup: None,
-                backup_spawned: false,
-                primary_replica,
-                hedge_at: self.hedge_at(shard, start),
-                started: start,
-                real_fault: false,
-                state: SlotState::Waiting,
-            });
-        }
-
-        loop {
-            let mut waiting = 0usize;
-            for slot in &mut slots {
-                if !matches!(slot.state, SlotState::Waiting) {
-                    continue;
-                }
-                let shard = &topo.shards[slot.shard];
-                let ev = slot
-                    .primary
-                    .as_ref()
-                    .map(|h| self.poll_probe(h, &mut slot.real_fault));
-                match ev {
-                    Some(ProbeEvent::Success(tag, list)) => {
-                        shard.latency.record(slot.started.elapsed());
-                        shard.breaker.record(slot.admission, true);
-                        if let Some(b) = &slot.backup {
-                            b.cancel();
-                        }
-                        slot.state = SlotState::Done(tag, list);
-                        continue;
-                    }
-                    Some(ProbeEvent::Fault) => slot.primary = None,
-                    Some(ProbeEvent::Pending) | None => {}
-                }
-                let ev = slot
-                    .backup
-                    .as_ref()
-                    .map(|h| self.poll_probe(h, &mut slot.real_fault));
-                match ev {
-                    Some(ProbeEvent::Success(tag, list)) => {
-                        shard.breaker.record(slot.admission, true);
-                        self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                        if let Some(p) = &slot.primary {
-                            p.cancel();
-                        }
-                        slot.state = SlotState::Done(tag, list);
-                        continue;
-                    }
-                    Some(ProbeEvent::Fault) => slot.backup = None,
-                    Some(ProbeEvent::Pending) | None => {}
-                }
-                if slot.primary.is_none() && slot.backup.is_none() {
-                    if !slot.backup_spawned && shard.replicas.len() > 1 {
-                        let backup = shard.backup_of(slot.primary_replica);
-                        slot.backup =
-                            Some(self.spawn_probe(&router, shard, backup, &wire_req, deadline));
-                        slot.backup_spawned = true;
-                        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        // Satellite 2: a slot whose every attempt
-                        // fast-failed in a backoff window records no
-                        // breaker fault — the fault that armed the
-                        // window was recorded when it happened.
-                        if slot.real_fault {
-                            shard.breaker.record(slot.admission, false);
-                        }
-                        slot.state = SlotState::Failed;
-                        continue;
-                    }
-                } else if slot.primary.is_some()
-                    && !slot.backup_spawned
-                    && slot.hedge_at.is_some_and(|at| Instant::now() >= at)
-                {
-                    let backup = shard.backup_of(slot.primary_replica);
-                    slot.backup =
-                        Some(self.spawn_probe(&router, shard, backup, &wire_req, deadline));
-                    slot.backup_spawned = true;
-                    self.counters.hedges.fetch_add(1, Ordering::Relaxed);
-                }
-                waiting += 1;
-            }
-            if waiting == 0 {
-                break;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                for slot in &mut slots {
-                    if matches!(slot.state, SlotState::Waiting) {
-                        self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                        topo.shards[slot.shard]
-                            .breaker
-                            .record(slot.admission, false);
-                        if let Some(p) = &slot.primary {
-                            p.cancel();
-                        }
-                        if let Some(b) = &slot.backup {
-                            b.cancel();
-                        }
-                        slot.state = SlotState::Failed;
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(300));
-        }
-
-        let consulted = slots.len();
-        let mut tags = Vec::new();
-        let mut lists = Vec::new();
-        for slot in slots {
-            if let SlotState::Done(tag, list) = slot.state {
-                tags.push(tag);
-                lists.push(list);
-            }
-        }
-        let reply = ServeReply {
-            suggestions: merge_rank_stratified(&lists, req.k),
-            coverage: Coverage {
-                answered: tags.len(),
-                consulted,
-            },
-            tags,
+            (&shard.health, shard.replicas.len())
         };
-        if reply.coverage.is_degraded() {
-            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-        }
-        reply
-    }
-
-    fn hedge_at(&self, shard: &NetShard, start: Instant) -> Option<Instant> {
-        let fc = &self.config.fault;
-        if shard.replicas.len() < 2 || (fc.hedge_ms == 0 && fc.hedge_percentile <= 0.0) {
-            return None;
-        }
-        Some(start + hedge_delay(&shard.latency, fc.hedge_ms, fc.hedge_percentile))
-    }
-
-    /// Spawns one remote probe attempt. The id↔text translation of the
-    /// *reply* happens inside the task (off the gather loop's thread);
-    /// unknown texts are dropped exactly like `shard_probe` drops
-    /// vocabulary races.
-    fn spawn_probe(
-        &self,
-        router: &Arc<QueryLog>,
-        shard: &NetShard,
-        replica: usize,
-        wire_req: &WireRequest,
-        deadline: Option<Instant>,
-    ) -> TaskHandle<Attempt> {
-        self.counters.probes.fetch_add(1, Ordering::Relaxed);
-        let remote = Arc::clone(&shard.replicas[replica]);
-        let router = Arc::clone(router);
-        let req = wire_req.clone();
-        spawn_cancellable(move |_token| {
-            let d = deadline.map(Deadline::at);
-            match remote.suggest(req, d.as_ref()) {
+        // The id↔text translation of the *reply* happens inside the task
+        // (off the caller's thread); unknown texts are dropped exactly
+        // like `shard_probe` drops vocabulary races.
+        let spawn = |s: usize, replica: usize| {
+            let remote = Arc::clone(&topo.shards[s].replicas[replica]);
+            let router = Arc::clone(&router);
+            let req = wire_req.clone();
+            move |_: &CancelToken| match remote.suggest(req, deadline.as_ref()) {
                 Ok(reply) => {
                     let tag: ShardTag = reply.tag.into();
                     let list = reply
@@ -621,40 +381,33 @@ impl NetRouter {
                             router.find_query(&text).map(|g| (g, f64::from_bits(bits)))
                         })
                         .collect();
-                    Attempt::Success(tag, list)
+                    Ok::<Answer, _>((tag, list))
                 }
-                Err(e) if e.is_backoff() => Attempt::Backoff,
-                Err(ProbeError::Remote { .. }) => Attempt::Remote,
-                Err(_) => Attempt::Transport,
+                Err(e) if e.is_backoff() => Err(NetFault::Backoff),
+                Err(ProbeError::Remote { .. }) => Err(NetFault::Remote),
+                Err(_) => Err(NetFault::Transport),
             }
-        })
-    }
-
-    fn poll_probe(&self, handle: &TaskHandle<Attempt>, real_fault: &mut bool) -> ProbeEvent {
-        match handle.try_take() {
-            TaskPoll::Pending => ProbeEvent::Pending,
-            TaskPoll::Ready(Ok(Attempt::Success(tag, list))) => ProbeEvent::Success(tag, list),
-            TaskPoll::Ready(Ok(Attempt::Backoff)) => {
-                self.counters.backoff_skips.fetch_add(1, Ordering::Relaxed);
-                ProbeEvent::Fault
+        };
+        // Only a slot with some attempt failing for a reason other than
+        // backoff records a breaker fault: the fault that armed a backoff
+        // window was recorded when it happened.
+        let classify = |fault: Result<NetFault, TaskPanic>| {
+            let c = &self.counters;
+            if let Ok(NetFault::Backoff) = fault {
+                c.backoff_skips.fetch_add(1, Ordering::Relaxed);
+                return false;
             }
-            TaskPoll::Ready(Ok(Attempt::Remote)) => {
-                *real_fault = true;
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                self.counters.remote_errors.fetch_add(1, Ordering::Relaxed);
-                ProbeEvent::Fault
+            if let Ok(NetFault::Remote) = fault {
+                c.remote_errors.fetch_add(1, Ordering::Relaxed);
             }
-            TaskPoll::Ready(Ok(Attempt::Transport)) => {
-                *real_fault = true;
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                ProbeEvent::Fault
-            }
-            TaskPoll::Ready(Err(_panic)) => {
-                *real_fault = true;
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                ProbeEvent::Fault
-            }
+            c.errors.fetch_add(1, Ordering::Relaxed);
+            true
+        };
+        let reply = gather(fanout, &self.counters.gather, shard, spawn, classify);
+        if reply.coverage.is_degraded() {
+            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
         }
+        reply
     }
 
     /// The writer step: drain the queue, grow the router log, and bring
@@ -669,16 +422,7 @@ impl NetRouter {
     }
 
     fn apply_deltas_locked(&self) -> NetSwapReport {
-        let limit = match self.config.max_delta_entries {
-            0 => usize::MAX,
-            n => n,
-        };
-        let deltas = self.queue.drain_up_to(limit);
-        let deferred = if deltas.len() == limit {
-            self.queue.stats().depth() as usize
-        } else {
-            0
-        };
+        let (deltas, deferred) = self.queue.drain_batch(self.config.max_delta_entries);
         let mut report = NetSwapReport {
             deferred,
             ..NetSwapReport::default()
@@ -823,20 +567,25 @@ impl NetRouter {
     /// Point-in-time stats.
     pub fn stats(&self) -> NetStats {
         let topo = self.topology.load();
+        let g = &self.counters.gather;
         NetStats {
             shards: topo.shards.len(),
-            probes: self.counters.probes.load(Ordering::Relaxed),
+            probes: g.probes.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
             remote_errors: self.counters.remote_errors.load(Ordering::Relaxed),
-            timeouts: self.counters.timeouts.load(Ordering::Relaxed),
-            hedges: self.counters.hedges.load(Ordering::Relaxed),
-            failovers: self.counters.failovers.load(Ordering::Relaxed),
-            hedge_wins: self.counters.hedge_wins.load(Ordering::Relaxed),
-            breaker_skips: self.counters.breaker_skips.load(Ordering::Relaxed),
+            timeouts: g.timeouts.load(Ordering::Relaxed),
+            hedges: g.hedges.load(Ordering::Relaxed),
+            failovers: g.failovers.load(Ordering::Relaxed),
+            hedge_wins: g.hedge_wins.load(Ordering::Relaxed),
+            breaker_skips: g.breaker_skips.load(Ordering::Relaxed),
             backoff_skips: self.counters.backoff_skips.load(Ordering::Relaxed),
             degraded: self.counters.degraded.load(Ordering::Relaxed),
-            breaker_opens: topo.shards.iter().map(|s| s.breaker.opens()).sum(),
-            breakers: topo.shards.iter().map(|s| s.breaker.state()).collect(),
+            breaker_opens: topo.shards.iter().map(|s| s.health.breaker.opens()).sum(),
+            breakers: topo
+                .shards
+                .iter()
+                .map(|s| s.health.breaker.state())
+                .collect(),
             generations: topo
                 .shards
                 .iter()

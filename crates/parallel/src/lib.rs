@@ -25,7 +25,9 @@ mod pool;
 mod task;
 
 pub use pool::{hardware_threads, Job, WorkerPool};
-pub use task::{spawn_cancellable, CancelToken, Deadline, TaskHandle, TaskPanic, TaskPoll};
+pub use task::{
+    spawn_cancellable, CancelToken, Completion, Deadline, SlotSeen, TaskHandle, TaskPanic, TaskPoll,
+};
 
 /// Resolves the process-wide "auto" thread count: `PQSDA_THREADS` if set to a
 /// positive integer, else available parallelism, else 1. Cached after first

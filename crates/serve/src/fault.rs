@@ -9,6 +9,7 @@
 //! latency spikes and corrupt swaps, and the test can assert exact
 //! degradation semantics instead of "it survived".
 
+use crate::gather::GatherCounters;
 use crate::swap::ShardTag;
 use pqsda_querylog::hash::{fnv1a_u64, FNV_OFFSET};
 use std::collections::HashMap;
@@ -315,30 +316,26 @@ impl Breaker {
 /// via [`FaultCounters::snapshot`]).
 #[derive(Debug, Default)]
 pub(crate) struct FaultCounters {
-    pub probes: AtomicU64,
+    pub gather: GatherCounters,
     pub panics: AtomicU64,
     pub errors: AtomicU64,
-    pub timeouts: AtomicU64,
-    pub hedges: AtomicU64,
-    pub failovers: AtomicU64,
-    pub hedge_wins: AtomicU64,
-    pub breaker_skips: AtomicU64,
     pub degraded: AtomicU64,
     pub rollbacks: AtomicU64,
 }
 
 impl FaultCounters {
     pub fn snapshot(&self, breaker_opens: u64) -> FaultStats {
+        let g = &self.gather;
         FaultStats {
-            probes: self.probes.load(Ordering::Relaxed),
+            probes: g.probes.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
+            timeouts: g.timeouts.load(Ordering::Relaxed),
+            hedges: g.hedges.load(Ordering::Relaxed),
+            failovers: g.failovers.load(Ordering::Relaxed),
+            hedge_wins: g.hedge_wins.load(Ordering::Relaxed),
             breaker_opens,
-            breaker_skips: self.breaker_skips.load(Ordering::Relaxed),
+            breaker_skips: g.breaker_skips.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             rollbacks: self.rollbacks.load(Ordering::Relaxed),
         }

@@ -191,6 +191,19 @@ impl IngestQueue {
         out
     }
 
+    /// Drains one writer batch of at most `max` entries (0 = unlimited)
+    /// and says how many stay queued behind the limit.
+    pub fn drain_batch(&self, max: usize) -> (Vec<LogEntry>, usize) {
+        let limit = if max == 0 { usize::MAX } else { max };
+        let batch = self.drain_up_to(limit);
+        let deferred = if batch.len() == limit {
+            self.stats().depth() as usize
+        } else {
+            0
+        };
+        (batch, deferred)
+    }
+
     /// Current counters.
     pub fn stats(&self) -> IngestStats {
         // Load drained before accepted: `offer` counts an entry accepted

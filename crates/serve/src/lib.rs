@@ -16,6 +16,10 @@
 //! - [`fault`] — the fault model: [`FaultConfig`] knobs (deadlines,
 //!   hedging, per-shard circuit [`Breaker`]s), the deterministic
 //!   [`FaultPlan`] injection harness, and [`FaultStats`] counters,
+//! - [`gather`] — the one fault-tolerant scatter-gather loop both
+//!   transports drive ([`gather()`]): breaker admission, primary/backup
+//!   attempts, failover, hedging and the deadline, woken by a
+//!   per-request completion signal instead of polling,
 //! - [`histogram`] — exponentially-decayed, log-bucketed latency
 //!   histograms ([`DecayedHistogram`]) sizing the hedge budgets,
 //! - [`admission`] — the deadline-aware [`AdmissionGate`]: shed load
@@ -42,6 +46,7 @@
 pub mod admission;
 pub mod coalesce;
 pub mod fault;
+pub mod gather;
 pub mod histogram;
 pub mod ingest;
 pub mod replica;
@@ -55,12 +60,13 @@ pub use coalesce::{CoalesceStats, Coalescer, Join, LeaderToken};
 pub use fault::{
     Admission, Breaker, BreakerState, ChaosProfile, FaultConfig, FaultKind, FaultPlan, FaultStats,
 };
+pub use gather::{gather, Answer, Fanout, GatherCounters, ShardHealth};
 pub use histogram::{hedge_delay, DecayedHistogram, HistogramSnapshot};
 pub use ingest::{IngestOffer, IngestQueue, IngestStats};
 pub use replica::ReplicaSet;
 pub use router::{
-    partition_entries, route_query, route_query_text, route_user, HashRing, PartitionKey,
-    VNODES_PER_SHARD,
+    partition_entries, request_targets, route_query, route_query_text, route_user, HashRing,
+    PartitionKey, VNODES_PER_SHARD,
 };
 pub use sharded::{
     merge_rank_stratified, shard_probe, Coverage, ServeConfig, ServeOutcome, ServeReply,

@@ -148,6 +148,16 @@ pub fn route_query_text(normalized: &str, shards: usize) -> usize {
     HashRing::canonical(shards).shard_of_bytes(normalized.as_bytes())
 }
 
+/// The shards a request for `normalized` consults: its home shard under
+/// the query key (which holds every record of it), every shard under the
+/// user key (a query's evidence spreads across users' shards).
+pub fn request_targets(key: PartitionKey, normalized: &str, shards: usize) -> Vec<usize> {
+    match key {
+        PartitionKey::Query => vec![route_query_text(normalized, shards)],
+        PartitionKey::User => (0..shards).collect(),
+    }
+}
+
 /// The home shard of an interned query: routes by its normalized text, so
 /// the answer is independent of which log interned the id.
 pub fn route_query(log: &QueryLog, query: QueryId, shards: usize) -> usize {

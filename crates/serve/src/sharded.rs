@@ -38,16 +38,16 @@
 
 use crate::admission::{AdmissionGate, AdmissionStats, Rejection};
 use crate::coalesce::{CoalesceStats, Coalescer, Join};
-use crate::fault::{Admission, FaultConfig, FaultCounters, FaultKind, FaultPlan, FaultStats};
-use crate::histogram::{self, DecayedHistogram, HistogramSnapshot};
+use crate::fault::{FaultConfig, FaultCounters, FaultKind, FaultPlan, FaultStats};
+use crate::gather::{gather, Answer, Fanout, ShardHealth};
 use crate::ingest::{IngestOffer, IngestQueue, IngestStats};
 use crate::replica::ReplicaSet;
-use crate::router::{partition_entries, route_query_text, PartitionKey};
+use crate::router::{partition_entries, request_targets, route_query_text, PartitionKey};
 use crate::swap::{ShardSnapshot, ShardTag};
 use crate::Swap;
 use pqsda::{CacheStats, EngineBuildOptions, PqsDa};
 use pqsda_baselines::{Backend, SuggestRequest};
-use pqsda_parallel::{spawn_cancellable, Deadline, TaskHandle, TaskPoll};
+use pqsda_parallel::{CancelToken, Deadline, TaskPanic};
 use pqsda_querylog::{text, LogEntry, QueryId, QueryLog, UserId};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,7 +55,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::fault::Breaker;
 pub use crate::fault::BreakerState;
 
 /// Configuration of a sharded server.
@@ -151,7 +150,22 @@ impl ServeReply {
         self.suggestions.iter().map(|&(q, _)| q).collect()
     }
 
-    fn empty() -> Self {
+    /// The rank-stratified merge of the shards that answered (in shard
+    /// order) out of the `consulted` ones.
+    pub(crate) fn merged(answers: Vec<Answer>, consulted: usize, k: usize) -> Self {
+        let (tags, lists): (Vec<ShardTag>, Vec<_>) = answers.into_iter().unzip();
+        ServeReply {
+            suggestions: merge_rank_stratified(&lists, k),
+            coverage: Coverage {
+                answered: tags.len(),
+                consulted,
+            },
+            tags,
+        }
+    }
+
+    /// A reply with no suggestions and nothing consulted.
+    pub fn empty() -> Self {
         ServeReply {
             suggestions: Vec::new(),
             tags: Vec::new(),
@@ -270,15 +284,8 @@ struct Shard {
     /// Delta entries whose swap was rolled back, parked for retry.
     /// Writer-only.
     pending: parking_lot::Mutex<Vec<LogEntry>>,
-    breaker: Breaker,
-    /// Decayed histogram of successful probe latencies; sizes the hedge
-    /// budget (DESIGN §11).
-    latency: DecayedHistogram,
+    health: ShardHealth,
 }
-
-/// What a shard probe resolves to: the snapshot's tag, plus its candidate
-/// list (`None` = the probe faulted with an error).
-type ProbeOut = (ShardTag, Option<Vec<(QueryId, f64)>>);
 
 /// N independent PQS-DA shards behind one request-level facade.
 pub struct ShardedPqsDa {
@@ -343,44 +350,15 @@ impl ShardedPqsDa {
     /// Partitions `entries` and builds every shard with `config.build`.
     pub fn build(entries: &[LogEntry], config: ServeConfig) -> Self {
         assert!(config.shards > 0, "need at least one shard");
-        let router = QueryLog::from_entries(entries);
-        let parts = partition_entries(entries, config.key, config.shards);
-        let mut registered = Vec::with_capacity(config.shards);
-        let shards: Vec<Shard> = parts
+        let shards = partition_entries(entries, config.key, config.shards)
             .into_iter()
             .enumerate()
             .map(|(s, part)| {
                 let engine = PqsDa::build_from_entries(&part, &config.build);
-                let snap = ShardSnapshot::stamp(engine, s, 0);
-                registered.push(snap.tag);
-                Shard {
-                    replicas: ReplicaSet::new(Arc::new(snap), config.fault.replicas),
-                    base: parking_lot::Mutex::new(ShardBase::Ready(part)),
-                    pending: parking_lot::Mutex::new(Vec::new()),
-                    breaker: Breaker::new(
-                        config.fault.breaker_threshold,
-                        config.fault.breaker_cooldown,
-                    ),
-                    latency: DecayedHistogram::default(),
-                }
+                (ShardSnapshot::stamp(engine, s, 0), ShardBase::Ready(part))
             })
             .collect();
-        ShardedPqsDa {
-            queue: IngestQueue::new(config.queue_capacity),
-            config,
-            router: Swap::new(Arc::new(router)),
-            shards,
-            registered: parking_lot::Mutex::new(registered),
-            rebuild_lock: parking_lot::Mutex::new(()),
-            total_swaps: AtomicU64::new(0),
-            fault_plan: parking_lot::RwLock::new(None),
-            requests: AtomicU64::new(0),
-            swap_attempts: AtomicU64::new(0),
-            counters: FaultCounters::default(),
-            deferred_total: AtomicU64::new(0),
-            gate: AdmissionGate::new(),
-            coalescer: Coalescer::new(),
-        }
+        Self::assemble(QueryLog::from_entries(entries), shards, config)
     }
 
     /// Reassembles a server from persisted shard snapshots plus the
@@ -404,23 +382,32 @@ impl ShardedPqsDa {
         assert!(config.shards > 0, "need at least one shard");
         assert_eq!(snapshots.len(), config.shards, "snapshot count != shards");
         let router_prefix = router.records().len();
-        let mut registered = Vec::with_capacity(config.shards);
-        let shards: Vec<Shard> = snapshots
+        let shards = snapshots
             .into_iter()
             .enumerate()
             .map(|(s, snap)| {
                 assert_eq!(snap.tag.shard, s, "snapshot shard number mismatch");
-                registered.push(snap.tag);
-                Shard {
-                    replicas: ReplicaSet::new(Arc::new(snap), config.fault.replicas),
-                    base: parking_lot::Mutex::new(ShardBase::Lazy { router_prefix }),
-                    pending: parking_lot::Mutex::new(Vec::new()),
-                    breaker: Breaker::new(
-                        config.fault.breaker_threshold,
-                        config.fault.breaker_cooldown,
-                    ),
-                    latency: DecayedHistogram::default(),
-                }
+                (snap, ShardBase::Lazy { router_prefix })
+            })
+            .collect();
+        Self::assemble(router, shards, config)
+    }
+
+    /// A server over `shards` (each snapshot with its cold-rebuild
+    /// base), every tag registered, every counter zero.
+    fn assemble(
+        router: QueryLog,
+        shards: Vec<(ShardSnapshot, ShardBase)>,
+        config: ServeConfig,
+    ) -> Self {
+        let registered = shards.iter().map(|(snap, _)| snap.tag).collect();
+        let shards = shards
+            .into_iter()
+            .map(|(snap, base)| Shard {
+                replicas: ReplicaSet::new(Arc::new(snap), config.fault.replicas),
+                base: parking_lot::Mutex::new(base),
+                pending: parking_lot::Mutex::new(Vec::new()),
+                health: ShardHealth::new(&config.fault),
             })
             .collect();
         ShardedPqsDa {
@@ -556,7 +543,7 @@ impl ShardedPqsDa {
             return ServeReply::empty();
         }
         let input_text = router.query_text(req.query).to_owned();
-        let targets = self.targets_for(&input_text);
+        let targets = request_targets(self.config.key, &input_text, self.config.shards);
         // A per-request deadline must be enforced even when no fault
         // tolerance is configured, so it activates the task-based path.
         let reply = if self.fault_path_active() || deadline.is_some() {
@@ -583,17 +570,6 @@ impl ShardedPqsDa {
         self.gather_serial(&router, &input_text, req, targets)
     }
 
-    /// The shard set responsible for a query under the configured key.
-    fn targets_for(&self, input_text: &str) -> Vec<usize> {
-        match self.config.key {
-            // The query's home shard holds every record of it.
-            PartitionKey::Query => vec![route_query_text(input_text, self.config.shards)],
-            // User partitions spread a query's evidence across shards:
-            // consult all of them and merge.
-            PartitionKey::User => (0..self.config.shards).collect(),
-        }
-    }
-
     /// Whether requests must take the task-based fault-tolerant fan-out.
     fn fault_path_active(&self) -> bool {
         let f = &self.config.fault;
@@ -615,42 +591,28 @@ impl ShardedPqsDa {
         req: &SuggestRequest,
         targets: &[usize],
     ) -> ServeReply {
-        let consulted = targets.len();
-        let mut tags = Vec::with_capacity(consulted);
-        let mut lists: Vec<Vec<(QueryId, f64)>> = Vec::with_capacity(consulted);
+        let mut answers = Vec::with_capacity(targets.len());
         for &s in targets {
             // One load per shard: the whole per-shard computation runs
             // against this single immutable snapshot.
             let snap = self.shards[s].replicas.load(0);
-            self.counters.probes.fetch_add(1, Ordering::Relaxed);
+            self.counters.gather.probes.fetch_add(1, Ordering::Relaxed);
             match catch_unwind(AssertUnwindSafe(|| {
                 shard_probe(router, &snap, input_text, req)
             })) {
-                Ok(list) => {
-                    tags.push(snap.tag);
-                    lists.push(list);
-                }
+                Ok(list) => answers.push((snap.tag, list)),
                 Err(_) => {
                     self.counters.panics.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        ServeReply {
-            suggestions: merge_rank_stratified(&lists, req.k),
-            coverage: Coverage {
-                answered: tags.len(),
-                consulted,
-            },
-            tags,
-        }
+        ServeReply::merged(answers, targets.len(), req.k)
     }
 
-    /// Fault-tolerant fan-out: per target, admit through the breaker,
-    /// probe the round-robin primary replica on a cancellable task, hedge
-    /// to the backup replica when the primary is slow, fail over
-    /// immediately when it faults, and drop whatever is unresolved at the
-    /// request deadline. Answers assemble in shard order so the merge is
-    /// deterministic.
+    /// Fault-tolerant fan-out through the shared [`gather`] loop: each
+    /// attempt probes one replica's snapshot on a cancellable task,
+    /// consulting the fault plan first (an injected stall sleeps
+    /// cooperatively, so a cancelled probe winds down in milliseconds).
     fn suggest_ft(
         &self,
         request: u64,
@@ -658,234 +620,50 @@ impl ShardedPqsDa {
         input_text: &str,
         req: &SuggestRequest,
         targets: &[usize],
-        request_deadline: Option<&Deadline>,
+        deadline: Option<&Deadline>,
     ) -> ServeReply {
-        let fc = &self.config.fault;
         let plan = self.fault_plan.read().clone();
-        let ctx = ProbeCtx {
-            request,
-            router,
-            input_text,
-            req,
-            plan: &plan,
+        let fanout = Fanout::new(request, targets, req.k, &self.config.fault, deadline);
+        let shard = |s: usize| {
+            let shard = &self.shards[s];
+            (&shard.health, shard.replicas.replicas())
         };
-        let start = Instant::now();
-        // The gather stops at the tighter of the configured budget and
-        // the caller's own deadline.
-        let budget = (fc.budget_ms > 0).then(|| start + Duration::from_millis(fc.budget_ms));
-        let deadline = match (budget, request_deadline.map(Deadline::instant)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        let spawn = |s: usize, replica: usize| {
+            let snap = self.shards[s].replicas.load(replica);
+            let router = Arc::clone(router);
+            let input_text = input_text.to_owned();
+            let req = req.clone();
+            let plan = plan.clone();
+            move |token: &CancelToken| -> Result<Answer, ()> {
+                if let Some(plan) = &plan {
+                    match plan.probe_fault(request, s, replica) {
+                        // The guard *performs* the injected stall: it is
+                        // true only when the sleep was cancelled mid-stall,
+                        // in which case nobody will read this output.
+                        Some(FaultKind::Latency(ms)) if !token.sleep(Duration::from_millis(ms)) => {
+                            return Err(());
+                        }
+                        // Stall survived to completion: probe normally.
+                        Some(FaultKind::Latency(_)) => {}
+                        Some(FaultKind::Panic) => {
+                            panic!("injected fault: request {request} shard {s} replica {replica}")
+                        }
+                        Some(FaultKind::Error) => return Err(()),
+                        None => {}
+                    }
+                }
+                Ok((snap.tag, shard_probe(&router, &snap, &input_text, &req)))
+            }
         };
-
-        let mut slots: Vec<ProbeSlot> = Vec::with_capacity(targets.len());
-        for &s in targets {
-            let admission = self.shards[s].breaker.admit();
-            if admission == Admission::Reject {
-                self.counters.breaker_skips.fetch_add(1, Ordering::Relaxed);
-                slots.push(ProbeSlot::rejected(s, admission, start));
-                continue;
-            }
-            let primary_replica = self.shards[s].replicas.primary_for(request);
-            let handle = self.spawn_probe(&ctx, s, primary_replica);
-            slots.push(ProbeSlot {
-                shard: s,
-                admission,
-                primary: Some(handle),
-                backup: None,
-                backup_spawned: false,
-                primary_replica,
-                hedge_at: self.hedge_deadline(s, start),
-                started: start,
-                state: SlotState::Waiting,
-            });
-        }
-
-        loop {
-            let mut waiting = 0usize;
-            for slot in &mut slots {
-                if !matches!(slot.state, SlotState::Waiting) {
-                    continue;
-                }
-                let shard = &self.shards[slot.shard];
-                // Primary outcome first, so on a tie the primary wins
-                // (both replicas serve the same published snapshot).
-                let ev = slot.primary.as_ref().map(|h| self.poll_probe(h));
-                match ev {
-                    Some(ProbeEvent::Success(tag, list)) => {
-                        shard.latency.record(slot.started.elapsed());
-                        shard.breaker.record(slot.admission, true);
-                        if let Some(b) = &slot.backup {
-                            b.cancel();
-                        }
-                        slot.state = SlotState::Done(tag, list);
-                        continue;
-                    }
-                    Some(ProbeEvent::Fault) => slot.primary = None,
-                    Some(ProbeEvent::Pending) | None => {}
-                }
-                let ev = slot.backup.as_ref().map(|h| self.poll_probe(h));
-                match ev {
-                    Some(ProbeEvent::Success(tag, list)) => {
-                        shard.breaker.record(slot.admission, true);
-                        self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                        if let Some(p) = &slot.primary {
-                            p.cancel();
-                        }
-                        slot.state = SlotState::Done(tag, list);
-                        continue;
-                    }
-                    Some(ProbeEvent::Fault) => slot.backup = None,
-                    Some(ProbeEvent::Pending) | None => {}
-                }
-                if slot.primary.is_none() && slot.backup.is_none() {
-                    if !slot.backup_spawned && shard.replicas.replicas() > 1 {
-                        // The primary faulted: fail over to the next
-                        // replica immediately instead of waiting for the
-                        // hedge budget.
-                        let backup = shard.replicas.backup_of(slot.primary_replica);
-                        slot.backup = Some(self.spawn_probe(&ctx, slot.shard, backup));
-                        slot.backup_spawned = true;
-                        self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        shard.breaker.record(slot.admission, false);
-                        slot.state = SlotState::Failed;
-                        continue;
-                    }
-                } else if slot.primary.is_some() && !slot.backup_spawned {
-                    // Primary still out: fire the hedge once its latency
-                    // budget lapses.
-                    if slot.hedge_at.is_some_and(|at| Instant::now() >= at) {
-                        let backup = shard.replicas.backup_of(slot.primary_replica);
-                        slot.backup = Some(self.spawn_probe(&ctx, slot.shard, backup));
-                        slot.backup_spawned = true;
-                        self.counters.hedges.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                waiting += 1;
-            }
-            if waiting == 0 {
-                break;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                for slot in &mut slots {
-                    if matches!(slot.state, SlotState::Waiting) {
-                        self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                        self.shards[slot.shard]
-                            .breaker
-                            .record(slot.admission, false);
-                        if let Some(p) = &slot.primary {
-                            p.cancel();
-                        }
-                        if let Some(b) = &slot.backup {
-                            b.cancel();
-                        }
-                        slot.state = SlotState::Failed;
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(300));
-        }
-
-        let consulted = slots.len();
-        let mut tags = Vec::new();
-        let mut lists = Vec::new();
-        for slot in slots {
-            if let SlotState::Done(tag, list) = slot.state {
-                tags.push(tag);
-                lists.push(list);
-            }
-        }
-        ServeReply {
-            suggestions: merge_rank_stratified(&lists, req.k),
-            coverage: Coverage {
-                answered: tags.len(),
-                consulted,
-            },
-            tags,
-        }
-    }
-
-    /// When the hedge for shard `s` should fire, if hedging is on:
-    /// `start + max(hedge_ms, decayed latency quantile)` (DESIGN §11).
-    fn hedge_deadline(&self, s: usize, start: Instant) -> Option<Instant> {
-        let fc = &self.config.fault;
-        if self.shards[s].replicas.replicas() < 2
-            || (fc.hedge_ms == 0 && fc.hedge_percentile <= 0.0)
-        {
-            return None;
-        }
-        Some(
-            start
-                + histogram::hedge_delay(&self.shards[s].latency, fc.hedge_ms, fc.hedge_percentile),
-        )
-    }
-
-    /// The hedge delay each shard would use for a request arriving now —
-    /// a pure function of the decayed histograms and the fault config
-    /// (the determinism property tests read this).
-    pub fn hedge_delays(&self) -> Vec<Duration> {
-        let fc = &self.config.fault;
-        self.shards
-            .iter()
-            .map(|s| histogram::hedge_delay(&s.latency, fc.hedge_ms, fc.hedge_percentile))
-            .collect()
-    }
-
-    /// Snapshots every shard's probe-latency histogram (stats / tests).
-    pub fn hedge_histograms(&self) -> Vec<HistogramSnapshot> {
-        self.shards.iter().map(|s| s.latency.snapshot()).collect()
-    }
-
-    /// Spawns one probe task against `(shard, replica)`, consulting the
-    /// fault plan first (injected latency sleeps cooperatively, so a
-    /// cancelled probe winds down in milliseconds).
-    fn spawn_probe(&self, ctx: &ProbeCtx<'_>, s: usize, replica: usize) -> TaskHandle<ProbeOut> {
-        self.counters.probes.fetch_add(1, Ordering::Relaxed);
-        let snap = self.shards[s].replicas.load(replica);
-        let router = Arc::clone(ctx.router);
-        let input_text = ctx.input_text.to_owned();
-        let req = ctx.req.clone();
-        let plan = ctx.plan.clone();
-        let request = ctx.request;
-        spawn_cancellable(move |token| {
-            let tag = snap.tag;
-            if let Some(plan) = &plan {
-                match plan.probe_fault(request, s, replica) {
-                    // The guard *performs* the injected stall: it is true
-                    // only when the sleep was cancelled mid-stall, in which
-                    // case nobody will read this probe's output.
-                    Some(FaultKind::Latency(ms)) if !token.sleep(Duration::from_millis(ms)) => {
-                        return (tag, None);
-                    }
-                    // Stall survived to completion: probe normally below.
-                    Some(FaultKind::Latency(_)) => {}
-                    Some(FaultKind::Panic) => {
-                        panic!("injected fault: request {request} shard {s} replica {replica}")
-                    }
-                    Some(FaultKind::Error) => return (tag, None),
-                    None => {}
-                }
-            }
-            (tag, Some(shard_probe(&router, &snap, &input_text, &req)))
-        })
-    }
-
-    /// Classifies a probe handle's current state, counting faults.
-    fn poll_probe(&self, handle: &TaskHandle<ProbeOut>) -> ProbeEvent {
-        match handle.try_take() {
-            TaskPoll::Pending => ProbeEvent::Pending,
-            TaskPoll::Ready(Ok((tag, Some(list)))) => ProbeEvent::Success(tag, list),
-            TaskPoll::Ready(Ok((_, None))) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                ProbeEvent::Fault
-            }
-            TaskPoll::Ready(Err(_panic)) => {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                ProbeEvent::Fault
-            }
-        }
+        let classify = |fault: Result<(), TaskPanic>| {
+            let counter = match fault {
+                Ok(()) => &self.counters.errors,
+                Err(_panic) => &self.counters.panics,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            true
+        };
+        gather(fanout, &self.counters.gather, shard, spawn, classify)
     }
 
     /// Serves a batch, fanning requests across the worker pool (`0` =
@@ -952,16 +730,7 @@ impl ShardedPqsDa {
     pub fn apply_deltas(&self) -> SwapReport {
         let _writer = self.rebuild_lock.lock();
         let cycle_start = Instant::now();
-        let limit = match self.config.max_delta_entries {
-            0 => usize::MAX,
-            n => n,
-        };
-        let deltas = self.queue.drain_up_to(limit);
-        let deferred = if deltas.len() == limit {
-            self.queue.stats().depth() as usize
-        } else {
-            0
-        };
+        let (deltas, deferred) = self.queue.drain_batch(self.config.max_delta_entries);
         if deferred > 0 {
             self.deferred_total
                 .fetch_add(deferred as u64, Ordering::Relaxed);
@@ -1098,7 +867,7 @@ impl ShardedPqsDa {
             cache.selection_hits += c.selection_hits;
             cache.selection_misses += c.selection_misses;
         }
-        let breaker_opens: u64 = self.shards.iter().map(|s| s.breaker.opens()).sum();
+        let breaker_opens: u64 = self.shards.iter().map(|s| s.health.breaker.opens()).sum();
         ServeStats {
             shards: self.shards.len(),
             generations,
@@ -1107,7 +876,11 @@ impl ShardedPqsDa {
             cache,
             deferred: self.deferred_total.load(Ordering::Relaxed),
             fault: self.counters.snapshot(breaker_opens),
-            breakers: self.shards.iter().map(|s| s.breaker.state()).collect(),
+            breakers: self
+                .shards
+                .iter()
+                .map(|s| s.health.breaker.state())
+                .collect(),
             admission: self.gate.stats(),
             coalesce: self.coalescer.stats(),
         }
@@ -1156,56 +929,6 @@ impl SuggestService for ShardedPqsDa {
     ) -> ServeOutcome {
         ShardedPqsDa::suggest_with_deadline(self, req, deadline)
     }
-}
-
-/// Shared read-only context of one request's probe spawns.
-struct ProbeCtx<'a> {
-    request: u64,
-    router: &'a Arc<QueryLog>,
-    input_text: &'a str,
-    req: &'a SuggestRequest,
-    plan: &'a Option<Arc<FaultPlan>>,
-}
-
-enum SlotState {
-    Waiting,
-    Done(ShardTag, Vec<(QueryId, f64)>),
-    Failed,
-}
-
-/// Per-target bookkeeping of the fault-tolerant gather loop.
-struct ProbeSlot {
-    shard: usize,
-    admission: Admission,
-    primary: Option<TaskHandle<ProbeOut>>,
-    backup: Option<TaskHandle<ProbeOut>>,
-    backup_spawned: bool,
-    primary_replica: usize,
-    hedge_at: Option<Instant>,
-    started: Instant,
-    state: SlotState,
-}
-
-impl ProbeSlot {
-    fn rejected(shard: usize, admission: Admission, started: Instant) -> Self {
-        ProbeSlot {
-            shard,
-            admission,
-            primary: None,
-            backup: None,
-            backup_spawned: false,
-            primary_replica: 0,
-            hedge_at: None,
-            started,
-            state: SlotState::Failed,
-        }
-    }
-}
-
-enum ProbeEvent {
-    Pending,
-    Success(ShardTag, Vec<(QueryId, f64)>),
-    Fault,
 }
 
 /// One shard's share of a request: translate the query and context into

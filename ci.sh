@@ -13,7 +13,10 @@ cargo fmt --check
 # shape (512 queries, 10 targets; median of interleaved call pairs), that
 # preparing a memo entry (`Diversifier::for_backend`) costs at most 1.15x
 # its Eq. 15 assembly (`Regularizer::new`) at the same shape, i.e. the
-# Algorithm 1 walk is not built on a miss (same pair protocol), that a
+# Algorithm 1 walk is not built on a miss (same pair protocol), that the
+# assembly costs at most 1.4x the three compact W W^T products it gathers
+# from each bipartite's Gram matrix instead of computing
+# (`miss_compact_products`; same pair protocol), that a
 # memo-hit `PqsDa::diversify_scored` at k = 10 costs at most 0.1x
 # recomputing Algorithm 1 on the same entry, i.e. a repeated request's
 # selection is served from its memo entry (same pair protocol), that

@@ -8,7 +8,7 @@
 
 use pqsda_linalg::csr::{CooBuilder, CsrMatrix};
 use pqsda_querylog::{QueryLog, Session};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Which entity side a bipartite connects queries to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,6 +38,10 @@ pub struct Bipartite {
     /// sort off the cold-start path). Deterministic, so *when* it is
     /// built never changes *what* it holds.
     transpose: OnceLock<CsrMatrix>,
+    /// The query–query Gram matrix `W Wᵀ`, materialized on first use for
+    /// the same reason (memo misses gather Eq. 15's similarities from it;
+    /// a snapshot load or a delta does not need it up front).
+    gram: OnceLock<Arc<CsrMatrix>>,
 }
 
 impl Bipartite {
@@ -47,6 +51,7 @@ impl Bipartite {
             kind,
             matrix,
             transpose: OnceLock::new(),
+            gram: OnceLock::new(),
         }
     }
 
@@ -112,6 +117,17 @@ impl Bipartite {
         self.transpose.get_or_init(|| self.matrix.transpose())
     }
 
+    /// The `queries × queries` Gram matrix `G = W Wᵀ` (built on first
+    /// call). Entry `(a, b)` sums `W[a,e]·W[b,e]` over row `a`'s entities
+    /// in ascending order, exactly as [`CsrMatrix::mul`] does for any row
+    /// subset, so a product over member rows copied verbatim from `W`
+    /// holds the same bits as `G` restricted to those members. Products
+    /// commute, so `G` is bitwise symmetric.
+    pub fn gram(&self) -> &Arc<CsrMatrix> {
+        self.gram
+            .get_or_init(|| Arc::new(self.matrix.mul(self.transposed())))
+    }
+
     /// Number of query rows.
     pub fn num_queries(&self) -> usize {
         self.matrix.rows()
@@ -146,7 +162,7 @@ impl Bipartite {
         self.matrix
     }
 
-    /// Replaces the weight matrix, keeping the transpose in sync.
+    /// Replaces the weight matrix, keeping the transpose and Gram in sync.
     pub fn with_matrix(&self, matrix: CsrMatrix) -> Self {
         assert_eq!(matrix.rows(), self.matrix.rows(), "with_matrix: row count");
         assert_eq!(matrix.cols(), self.matrix.cols(), "with_matrix: col count");

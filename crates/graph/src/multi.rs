@@ -320,4 +320,48 @@ mod tests {
             assert!(n.windows(2).all(|w| w[0] < w[1]));
         }
     }
+
+    #[test]
+    fn gram_matrices_are_bitwise_symmetric_with_stored_zeros() {
+        // Every query clicks portal.com and every record shares one user
+        // session, so that URL and that session reach all queries: their
+        // iqf is ln(1) = 0 and cfiqf stores explicit zeros in their
+        // columns. The Gram scatter in Eq. 15 assembly reads row gⱼ for
+        // entry (gᵢ, gⱼ), so G must hold identical bits on both sides of
+        // the diagonal, zero products included.
+        let mut entries = Vec::new();
+        for (i, &q) in ["sun", "sun java", "java", "solar cell", "sun oracle"]
+            .iter()
+            .enumerate()
+        {
+            let t = 100 + 10 * i as u64;
+            entries.push(LogEntry::new(UserId(0), q, Some("portal.com"), t));
+            entries.push(LogEntry::new(
+                UserId(0),
+                q,
+                Some(&format!("{q}.org")),
+                t + 1,
+            ));
+        }
+        entries.push(LogEntry::new(UserId(1), "sun", Some("www.java.com"), 50));
+        entries.push(LogEntry::new(UserId(1), "java", Some("www.java.com"), 60));
+        let mut log = QueryLog::from_entries(&entries);
+        let sessions = segment_sessions(&mut log, &SessionConfig::default());
+        let multi = MultiBipartite::build(&log, &sessions, WeightingScheme::CfIqf);
+        let url = multi.get(EntityKind::Url).matrix();
+        assert!(
+            url.iter().any(|(_, _, v)| v == 0.0),
+            "the iqf = 0 column must be stored as explicit zeros"
+        );
+        for b in multi.iter() {
+            let g = b.gram();
+            assert_eq!((g.rows(), g.cols()), (b.num_queries(), b.num_queries()));
+            let t = g.transpose();
+            assert_eq!(g.parts().0, t.parts().0, "{:?}: structure", b.kind());
+            assert_eq!(g.parts().1, t.parts().1, "{:?}: structure", b.kind());
+            let bits = |m: &CsrMatrix| m.parts().2.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(&t), "{:?}: values", b.kind());
+            assert!(std::sync::Arc::ptr_eq(g, b.gram()), "built once");
+        }
+    }
 }

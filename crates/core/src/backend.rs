@@ -415,7 +415,7 @@ mod tests {
     use pqsda_querylog::session::{segment_sessions, SessionConfig};
     use pqsda_querylog::{LogEntry, QueryLog, UserId};
 
-    fn two_facet() -> (QueryLog, CompactMulti) {
+    fn two_facet() -> (QueryLog, MultiBipartite, CompactMulti) {
         let entries = vec![
             LogEntry::new(UserId(0), "sun", Some("java.com"), 0),
             LogEntry::new(UserId(0), "sun java", Some("java.com"), 30),
@@ -432,7 +432,8 @@ mod tests {
         let members: Vec<_> = (0..log.num_queries())
             .map(pqsda_querylog::QueryId::from_index)
             .collect();
-        (log, CompactMulti::project(&multi, members))
+        let compact = CompactMulti::project(&multi, members);
+        (log, multi, compact)
     }
 
     fn birank(compact: &CompactMulti) -> BiRank {
@@ -449,7 +450,7 @@ mod tests {
 
     #[test]
     fn birank_scores_spread_over_the_component_and_exclude_seeds() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let b = birank(&compact);
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         let (best, scores) = b.relevance(sun, &[]).expect("connected input has mass");
@@ -469,7 +470,7 @@ mod tests {
 
     #[test]
     fn birank_is_deterministic_and_context_sensitive() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let b = birank(&compact);
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         let ctx = compact.local(log.find_query("sun java").unwrap()).unwrap();
@@ -491,7 +492,7 @@ mod tests {
 
     #[test]
     fn birank_tolerance_knob_caps_iterations() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let reg = RegularizationConfig::default();
         // One iteration vs converged: both deterministic, different fixed
         // points — the knob is live.
@@ -523,7 +524,7 @@ mod tests {
 
     #[test]
     fn walk_is_not_built_for_k1_or_the_ablation_arm() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         let (first, f_star) = first_and_relevance(&compact, sun);
         let on = HittingTimeDiversify::new(&compact, DiversifyConfig::default());
@@ -548,7 +549,7 @@ mod tests {
 
     #[test]
     fn walk_is_built_once_on_the_first_round() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         let (first, f_star) = first_and_relevance(&compact, sun);
         let backend = HittingTimeDiversify::new(&compact, DiversifyConfig::default());
@@ -570,7 +571,7 @@ mod tests {
 
     #[test]
     fn eq15_backend_delegates_to_the_regularizer() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let reg = Regularizer::new(&compact, RegularizationConfig::default());
         let backend = Eq15Relevance::new(reg.clone());
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();

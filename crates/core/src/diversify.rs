@@ -212,7 +212,7 @@ mod tests {
 
     /// A two-facet world around "sun": a java cluster and a solar cluster,
     /// session- and term-linked.
-    fn two_facet() -> (QueryLog, CompactMulti) {
+    fn two_facet() -> (QueryLog, MultiBipartite, CompactMulti) {
         let entries = vec![
             // java cluster (user 0, one session)
             LogEntry::new(UserId(0), "sun", Some("java.com"), 0),
@@ -232,12 +232,13 @@ mod tests {
         let members: Vec<_> = (0..log.num_queries())
             .map(pqsda_querylog::QueryId::from_index)
             .collect();
-        (log, CompactMulti::project(&multi, members))
+        let compact = CompactMulti::project(&multi, members);
+        (log, multi, compact)
     }
 
     #[test]
     fn first_is_relevant_then_facets_alternate() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let d = Diversifier::new(&compact, DiversifyConfig::default());
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         let picks = d.select_global(&compact, sun, &[], 4);
@@ -255,7 +256,7 @@ mod tests {
 
     #[test]
     fn never_suggests_input_or_context() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let d = Diversifier::new(&compact, DiversifyConfig::default());
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         let ctx = compact.local(log.find_query("sun java").unwrap()).unwrap();
@@ -266,7 +267,7 @@ mod tests {
 
     #[test]
     fn k_zero_and_k_large() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let d = Diversifier::new(&compact, DiversifyConfig::default());
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         assert!(d.select(sun, &[], 0).is_empty());
@@ -282,7 +283,7 @@ mod tests {
 
     #[test]
     fn scored_selection_matches_plain_and_carries_relevance() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let d = Diversifier::new(&compact, DiversifyConfig::default());
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         let plain = d.select(sun, &[], 4);
@@ -301,7 +302,7 @@ mod tests {
 
     #[test]
     fn selection_is_deterministic() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let d = Diversifier::new(&compact, DiversifyConfig::default());
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();
         assert_eq!(d.select(sun, &[], 4), d.select(sun, &[], 4));
@@ -309,7 +310,7 @@ mod tests {
 
     #[test]
     fn hitting_time_off_gives_relevance_order() {
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let cfg = DiversifyConfig {
             hitting_time: false,
             ..DiversifyConfig::default()
@@ -335,7 +336,7 @@ mod tests {
     fn diversified_list_beats_greedy_relevance_on_facet_coverage() {
         // The motivating comparison: pure relevance ranking (F* order)
         // concentrates on the dominant facet; Algorithm 1 covers both.
-        let (log, compact) = two_facet();
+        let (log, _multi, compact) = two_facet();
         let cfg = DiversifyConfig::default();
         let d = Diversifier::new(&compact, cfg);
         let sun = compact.local(log.find_query("sun").unwrap()).unwrap();

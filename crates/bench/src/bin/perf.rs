@@ -46,25 +46,11 @@
 //! (the same server cold-built from the log), replies asserted
 //! bit-identical and the snapshot path gated at ≥ 10× cheaper.
 //!
-//! The `open_loop_sweep` section drives the server on a seeded Poisson
-//! arrival schedule across a geometric rate ladder around measured
-//! capacity, recording tail latency and explicit admission-control drops
-//! at each rung.
-//!
 //! `gather_overhead` times a memo-hit k = 10 request through a 2-shard
 //! server's deadline-bounded front door against probing the same shards
 //! serially (`suggest_on`), replies asserted equal; the gather is gated
 //! at ≤ 6× the serial probes (median of 101 alternating pairs, the row's
 //! ratio): its caller blocks on a completion signal instead of polling.
-//!
-//! Three fault-tolerance rows time the degraded-serving paths of the
-//! sharded server (`serve_healthy_ft`, `serve_hedged`, `serve_degraded`):
-//! per-request latency percentiles through the replicated gather loop when
-//! healthy, when a slow primary replica forces hedged requests, and when a
-//! fully stalled shard is dropped at the deadline. These are timed by hand
-//! (not via `measure`) because a degraded reply is *deliberately* not
-//! bit-identical to the healthy one; the `serving_fault` section carries
-//! the p50/p99 and the hedge/degraded fire rates.
 //!
 //! Every kernel is bit-identical across thread counts (asserted here, not
 //! just in the test suite), so `speedup` is a pure wall-clock ratio.
@@ -79,18 +65,16 @@ use pqsda::crosswalk::{CrossBipartiteWalk, HittingTimeScratch};
 use pqsda::regularize::{RegularizationConfig, Regularizer};
 use pqsda::{Diversifier, DiversifyConfig, EngineBuildOptions, PqsDa, PqsDaConfig, RelevanceKind};
 use pqsda_baselines::SuggestRequest;
-use pqsda_bench::loadgen::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 use pqsda_bench::scenario::{frontier, run_all, run_backends, ScenarioOptions};
 use pqsda_bench::{ExperimentWorld, Scale};
 use pqsda_graph::bipartite::{Bipartite, EntityKind};
 use pqsda_graph::compact::{CompactConfig, CompactMulti};
 use pqsda_graph::walk::two_step_transition_with_threads;
 use pqsda_linalg::solver::Jacobi;
-use pqsda_net::{NetAddr, NetConfig, NetRouter, ShardServer, ShardServerConfig};
 use pqsda_parallel::Deadline;
-use pqsda_querylog::{QueryId, QueryLog};
+use pqsda_querylog::QueryId;
 use pqsda_serve::store::{load_server, save_server};
-use pqsda_serve::{FaultConfig, FaultPlan, PartitionKey, ServeConfig, ShardedPqsDa};
+use pqsda_serve::{PartitionKey, ServeConfig, ShardedPqsDa};
 use pqsda_topics::{Corpus, TrainConfig, Upm, UpmConfig};
 use std::time::Instant;
 
@@ -102,8 +86,8 @@ struct Row {
     /// Wall-clock ratio vs this row's baseline (see `ratio_key`).
     ratio: f64,
     /// JSON key for `ratio`: `"speedup"` for the kernel rows (vs the same
-    /// kernel at 1 thread), `"rel_healthy"` for the serving-fault rows
-    /// (vs `serve_healthy_ft` — calling that a speedup was misleading).
+    /// kernel at 1 thread), otherwise what the ratio is taken against
+    /// (e.g. `"paired_over_serial"`).
     ratio_key: &'static str,
 }
 
@@ -214,19 +198,6 @@ fn gibbs_phase_breakdown(corpus: &Corpus, thread_counts: &[usize]) -> Vec<PhaseR
         }
     }
     rows
-}
-
-/// One fault-tolerance serving scenario (hand-rolled per-request timing).
-struct FaultRow {
-    scenario: &'static str,
-    requests: usize,
-    p50_ns: u64,
-    p99_ns: u64,
-    mean_ns: f64,
-    /// Hedge probes fired per request.
-    hedge_rate: f64,
-    /// Replies with coverage < 1.0 per request.
-    degraded_rate: f64,
 }
 
 fn main() {
@@ -542,13 +513,10 @@ fn main() {
     // phase, cross-thread model equality asserted inside.
     let phases = gibbs_phase_breakdown(&corpus, &thread_counts);
 
-    // serving: the same batched request stream through the plain engine
-    // and through the 2-shard scatter-gather server (pqsda-serve). Both
-    // fan over the worker pool; per-bench cross-thread bit-identity is
-    // asserted by `measure` as usual.
+    // The 2-shard server and request stream behind the gather gate; the
+    // cold-start check below replays the same requests.
     let entries = world.log().entries();
     let build = EngineBuildOptions::default();
-    let unsharded = PqsDa::build_from_entries(&entries, &build);
     let sharded = ShardedPqsDa::build(
         &entries,
         ServeConfig {
@@ -562,16 +530,6 @@ fn main() {
         .into_iter()
         .map(|q| SuggestRequest::simple(q, 10))
         .collect();
-    rows.extend(measure("serve_unsharded", &thread_counts, |t| {
-        unsharded.suggest_many_with_threads(&reqs, t)
-    }));
-    rows.extend(measure("serve_sharded", &thread_counts, |t| {
-        sharded
-            .suggest_many_with_threads(&reqs, t)
-            .iter()
-            .map(pqsda_serve::ServeReply::ranked)
-            .collect::<Vec<_>>()
-    }));
 
     // Gather overhead: a memo-hit k = 10 request through the deadline-
     // bounded front door (admission, probe tasks, the completion-signal
@@ -629,131 +587,17 @@ fn main() {
         ratio_key: "paired_over_serial",
     });
 
-    // fault-tolerant serving: per-request latency through the replicated
-    // gather loop, healthy vs a slow primary replica (hedge rescues) vs a
-    // fully stalled shard (deadline drops it, coverage degrades). Timed by
-    // hand rather than via `measure`: a degraded reply is deliberately not
-    // bit-identical to the healthy one, so the cross-thread equality
-    // assertion does not apply — instead each scenario pins its own
-    // invariant (hedges actually fired / replies actually degraded).
-    let fault_requests = if smoke { 8 } else { 32 };
-    let run_fault_scenario =
-        |scenario: &'static str, budget_ms: u64, hedge_ms: u64, plan: Option<FaultPlan>| {
-            let server = ShardedPqsDa::build(
-                &entries,
-                ServeConfig {
-                    shards: 2,
-                    key: PartitionKey::User,
-                    build,
-                    fault: FaultConfig {
-                        replicas: 2,
-                        budget_ms,
-                        hedge_ms,
-                        ..FaultConfig::default()
-                    },
-                    ..ServeConfig::default()
-                },
-            );
-            server.set_fault_plan(plan);
-            let mut lat = Vec::with_capacity(fault_requests);
-            let mut total_ns = 0u128;
-            for i in 0..fault_requests {
-                let req = &reqs[i % reqs.len()];
-                let start = Instant::now();
-                let reply = server.suggest(req);
-                let ns = start.elapsed().as_nanos();
-                assert!(
-                    reply.coverage.answered >= 1,
-                    "{scenario}: no shard answered request {i}"
-                );
-                lat.push(ns as u64);
-                total_ns += ns;
-            }
-            lat.sort_unstable();
-            let stats = server.stats();
-            let row = FaultRow {
-                scenario,
-                requests: fault_requests,
-                p50_ns: lat[fault_requests / 2],
-                p99_ns: lat[(fault_requests * 99) / 100],
-                mean_ns: total_ns as f64 / fault_requests as f64,
-                hedge_rate: stats.fault.hedges as f64 / fault_requests as f64,
-                degraded_rate: stats.fault.degraded as f64 / fault_requests as f64,
-            };
-            eprintln!(
-                "  {scenario}: p50 {} ns, p99 {} ns, hedge rate {:.2}, degraded rate {:.2}",
-                row.p50_ns, row.p99_ns, row.hedge_rate, row.degraded_rate
-            );
-            row
-        };
-    // Healthy baseline: same replicated gather loop, no deadline, no
-    // hedging, no faults. Its measured p99 calibrates the other two
-    // scenarios, so the thresholds track the host's actual probe cost.
-    let ft_healthy = run_fault_scenario("serve_healthy_ft", 0, 0, None);
-    let healthy_p99_ms = (ft_healthy.p99_ns / 1_000_000).max(1);
-    // Hedged: replica 0 of both shards stalls far past the hedge delay
-    // (2x the healthy p99); the hedge's backup probe wins, so replies
-    // stay full-coverage — the stall costs one hedge delay, not a stall.
-    let ft_hedged = run_fault_scenario(
-        "serve_hedged",
-        0,
-        2 * healthy_p99_ms,
-        Some(
-            FaultPlan::new()
-                .with_slow_replica(0, 0, 30 * healthy_p99_ms)
-                .with_slow_replica(1, 0, 30 * healthy_p99_ms),
-        ),
-    );
-    assert!(
-        ft_hedged.hedge_rate > 0.0,
-        "slow primary replicas must trigger hedged requests"
-    );
-    assert!(
-        ft_hedged.degraded_rate == 0.0,
-        "hedge must rescue the slow shard, not degrade it"
-    );
-    // Degraded: both replicas of shard 0 stall past the deadline (3x the
-    // healthy p99), so the budget sweep drops the shard and every reply
-    // reports coverage 1/2 at a latency pinned near the budget.
-    let ft_degraded = run_fault_scenario(
-        "serve_degraded",
-        3 * healthy_p99_ms,
-        0,
-        Some(
-            FaultPlan::new()
-                .with_slow_replica(0, 0, 30 * healthy_p99_ms)
-                .with_slow_replica(0, 1, 30 * healthy_p99_ms),
-        ),
-    );
-    assert!(
-        ft_degraded.degraded_rate > 0.0,
-        "a fully stalled shard must produce degraded replies"
-    );
-    let fault_rows = [ft_healthy, ft_hedged, ft_degraded];
-    let ft_base = fault_rows[0].mean_ns;
-    for r in &fault_rows {
-        rows.push(Row {
-            bench: r.scenario,
-            threads: 1,
-            ns_per_iter: r.mean_ns,
-            ratio: ft_base / r.mean_ns,
-            ratio_key: "rel_healthy",
-        });
-    }
-
     // incremental update: the freshness cost of the serving layer. A 1%
     // chronological tail is applied through `PqsDa::apply_delta` (log
     // append → scoped CF-IQF reweight → scoped cache invalidation) and
     // timed against a cold `build_from_entries` over the full log. The
-    // digest equivalence against the resident full build is asserted once
+    // digest equivalence against one cold full build is asserted once
     // up front; the timed kernels then measure the two pipelines alone,
     // without the digest's O(edges) hashing pass inflating both sides.
-    let cold_digest = unsharded.multi().digest();
     let cut = entries.len() - (entries.len() / 100).max(1);
     let base_engine = PqsDa::build_from_entries(&entries[..cut], &build);
     {
-        let cold = PqsDa::build_from_entries(&entries, &build);
-        assert_eq!(cold.multi().digest(), cold_digest);
+        let cold_digest = PqsDa::build_from_entries(&entries, &build).multi().digest();
         let (engine, report) = base_engine
             .apply_delta(&entries[cut..], &build)
             .expect("tail of entries() is chronological");
@@ -881,151 +725,6 @@ fn main() {
     rows.extend(cold_mmap_rows);
     std::fs::remove_dir_all(&snap_dir).ok();
 
-    // open-loop tail latency: a seeded Poisson arrival schedule drives the
-    // sharded server at a configured offered rate regardless of how fast
-    // replies come back, so queueing delay is charged to the requests (the
-    // closed-loop rows above cannot see it). Offered rates form a
-    // geometric ladder around this host's measured closed-loop capacity:
-    // the sub-capacity rungs must flow, the super-capacity rungs must
-    // shed explicitly via admission control, and the knee in between is
-    // where queueing delay surfaces in the p99.
-    let ol_server = ShardedPqsDa::build(
-        &entries,
-        ServeConfig {
-            shards: 2,
-            key: PartitionKey::User,
-            build,
-            coalesce: true,
-            ..ServeConfig::default()
-        },
-    );
-    // Closed-loop warmup: seeds the admission gate's decayed service-time
-    // estimate and measures capacity for the rate calibration.
-    let warm = Instant::now();
-    for req in &reqs {
-        let _ = ol_server.suggest(req);
-    }
-    let per_req_s = (warm.elapsed().as_secs_f64() / reqs.len() as f64).max(1e-9);
-    let capacity_rps = 1.0 / per_req_s;
-    let ol_requests = if smoke { 48 } else { 512 };
-    // Generous relative to one request, tight relative to a backlog: at
-    // 2x capacity the queue outgrows this budget fast, so the gate sheds.
-    let ol_deadline_ms = ((per_req_s * 1e3 * 20.0).ceil() as u64).max(2);
-    let rate_ladder: &[f64] = if smoke {
-        &[0.5, 2.0]
-    } else {
-        &[0.25, 0.5, 1.0, 2.0, 4.0]
-    };
-    let mut ol_reports: Vec<(f64, OpenLoopReport)> = Vec::new();
-    for &mult in rate_ladder {
-        let report = run_open_loop(
-            &ol_server,
-            &reqs,
-            &OpenLoopConfig {
-                seed: 42,
-                offered_rps: capacity_rps * mult,
-                requests: ol_requests,
-                deadline_ms: ol_deadline_ms,
-                threads: 0,
-            },
-        );
-        eprintln!(
-            "  open_loop @ {:.0} req/s ({mult}x capacity): p50 {} us, p99 {} us, p999 {} us, \
-             drop rate {:.3}, max queue {}, deadline violations {}",
-            report.offered_rps,
-            report.p50_us,
-            report.p99_us,
-            report.p999_us,
-            report.drop_rate,
-            report.max_queue_depth,
-            report.deadline_violations
-        );
-        ol_reports.push((mult, report));
-    }
-    let ol_stats = ol_server.stats();
-    eprintln!(
-        "  open_loop server: admitted {}, shed {}, coalesced {}, fallbacks {}",
-        ol_stats.admission.admitted,
-        ol_stats.admission.shed,
-        ol_stats.coalesce.coalesced,
-        ol_stats.coalesce.fallbacks
-    );
-    assert_eq!(
-        ol_stats.admission.shed,
-        ol_reports.iter().map(|(_, r)| r.rejected).sum::<u64>(),
-        "every drop must be an explicit admission-control rejection"
-    );
-
-    // net-mode open loop: the same seeded schedule against the
-    // socket-backed router (thread-hosted shard servers over real UDS and
-    // TCP-loopback sockets, serving the identical snapshot `Arc`s). The
-    // per-frame overhead is the closed-loop mean service-time delta vs
-    // the in-process server; the open-loop row runs at 0.5x of the *net*
-    // deployment's own measured capacity so it is a flow rung, not an
-    // overload probe.
-    let net_dir = std::env::temp_dir().join(format!("pqsda-perf-net-{}", std::process::id()));
-    std::fs::create_dir_all(&net_dir).expect("net bench scratch dir");
-    let mut net_rows: Vec<(&'static str, f64, OpenLoopReport)> = Vec::new();
-    for transport in ["uds", "tcp"] {
-        let mut handles = Vec::new();
-        let mut addrs = Vec::new();
-        for sh in 0..2usize {
-            let cfg =
-                ShardServerConfig::new(sh, build, net_dir.join(format!("{transport}-stage{sh}")));
-            let addr = if transport == "uds" {
-                NetAddr::Uds(net_dir.join(format!("{transport}-s{sh}.sock")))
-            } else {
-                NetAddr::Tcp("127.0.0.1:0".into())
-            };
-            let server = ShardServer::new(ol_server.shard_snapshot(sh), cfg);
-            let handle = server.spawn(&addr).expect("net bench server");
-            addrs.push(vec![handle.addr().clone()]);
-            handles.push(handle);
-        }
-        let net = NetRouter::connect(
-            QueryLog::from_entries(&entries),
-            &addrs,
-            NetConfig {
-                key: PartitionKey::User,
-                ..NetConfig::default()
-            },
-        );
-        let warm = Instant::now();
-        for req in &reqs {
-            let _ = net.suggest(req);
-        }
-        let net_per_req_s = (warm.elapsed().as_secs_f64() / reqs.len() as f64).max(1e-9);
-        let frame_overhead_us = (net_per_req_s - per_req_s).max(0.0) * 1e6;
-        let net_capacity_rps = 1.0 / net_per_req_s;
-        let report = run_open_loop(
-            &net,
-            &reqs,
-            &OpenLoopConfig {
-                seed: 42,
-                offered_rps: net_capacity_rps * 0.5,
-                requests: ol_requests,
-                deadline_ms: ol_deadline_ms,
-                threads: 0,
-            },
-        );
-        eprintln!(
-            "  net_open_loop [{transport}] @ {:.0} req/s (0.5x net capacity {net_capacity_rps:.0} \
-             req/s): p50 {} us, p99 {} us, p999 {} us, drop rate {:.3}, per-frame overhead \
-             {frame_overhead_us:.0} us vs in-process",
-            report.offered_rps, report.p50_us, report.p99_us, report.p999_us, report.drop_rate
-        );
-        let net_stats = net.stats();
-        assert_eq!(
-            net_stats.errors + net_stats.timeouts,
-            0,
-            "loopback bench must be fault-free: {net_stats:?}"
-        );
-        net_rows.push((transport, frame_overhead_us, report));
-        drop(net);
-        drop(handles);
-    }
-    std::fs::remove_dir_all(&net_dir).ok();
-
     if smoke {
         eprintln!(
             "perf: smoke mode — all kernels bit-identical across threads = {thread_counts:?}; \
@@ -1086,24 +785,6 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"serving_fault_note\": \"2-shard server, 2 replicas/shard; thresholds calibrated \
-         from the healthy p99 ({healthy_p99_ms} ms here). serve_hedged stalls replica 0 of \
-         both shards 30x p99 and hedges after 2x p99 (backup rescues, full coverage); \
-         serve_degraded stalls both replicas of shard 0 with a 3x-p99 budget (deadline drops \
-         the shard). These rows carry rel_healthy (wall-clock ratio vs serve_healthy_ft) \
-         instead of speedup — they are never compared across thread counts.\",\n",
-    ));
-    json.push_str("  \"serving_fault\": [\n");
-    for (i, r) in fault_rows.iter().enumerate() {
-        let comma = if i + 1 < fault_rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"requests\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"mean_ns\": {:.0}, \"hedge_rate\": {:.3}, \"degraded_rate\": {:.3}}}{comma}\n",
-            r.scenario, r.requests, r.p50_ns, r.p99_ns, r.mean_ns, r.hedge_rate, r.degraded_rate
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
         "  \"cold_start_note\": \"2-shard snapshot directory, {} bytes on disk; load path \
          {} ({snap_mapped}/2 shard(s) mmapped, {snap_zero_copy}/2 zero-copy CSR views); \
          replies asserted bit-identical to the live server before timing. \
@@ -1115,68 +796,6 @@ fn main() {
             "aligned-read fallback"
         }
     ));
-    json.push_str(&format!(
-        "  \"open_loop_sweep_note\": \"seeded Poisson arrivals (seed 42) dispatched on schedule \
-         regardless of completions; latency measured from the scheduled arrival, so queueing \
-         counts. 2-shard coalescing server, per-request deadline {ol_deadline_ms} ms; offered \
-         rates are a geometric ladder (rate_mult x) around this host's measured closed-loop \
-         capacity ({capacity_rps:.0} req/s). drop_rate counts explicit admission-control \
-         rejections only — a silent drop would abort the run.\",\n"
-    ));
-    json.push_str("  \"open_loop_sweep\": [\n");
-    for (i, (mult, r)) in ol_reports.iter().enumerate() {
-        let comma = if i + 1 < ol_reports.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"rate_mult\": {mult}, \"offered_rps\": {:.0}, \"requests\": {}, \
-             \"completed\": {}, \
-             \"rejected\": {}, \"drop_rate\": {:.3}, \"deadline_violations\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \"mean_us\": {:.0}, \
-             \"max_queue_depth\": {}, \"mean_queue_depth\": {:.1}}}{comma}\n",
-            r.offered_rps,
-            r.requests,
-            r.completed,
-            r.rejected,
-            r.drop_rate,
-            r.deadline_violations,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.mean_us,
-            r.max_queue_depth,
-            r.mean_queue_depth
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(
-        "  \"net_open_loop_note\": \"the same seeded open-loop schedule against the \
-         socket-backed NetRouter: 2 thread-hosted shard servers over real sockets (UDS and \
-         TCP-loopback) serving the identical snapshot Arcs, wire protocol per DESIGN.md \
-         section 15. frame_overhead_us is the closed-loop mean service-time delta vs the \
-         in-process server (checksummed frame encode/decode + syscalls + id-to-text \
-         translation, both shard probes included); offered_rps is 0.5x the net deployment's \
-         own measured capacity. Zero transport errors asserted.\",\n",
-    );
-    json.push_str("  \"net_open_loop\": [\n");
-    for (i, (transport, overhead_us, r)) in net_rows.iter().enumerate() {
-        let comma = if i + 1 < net_rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"transport\": \"{transport}\", \"offered_rps\": {:.0}, \"requests\": {}, \
-             \"completed\": {}, \"rejected\": {}, \"drop_rate\": {:.3}, \
-             \"deadline_violations\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
-             \"mean_us\": {:.0}, \"frame_overhead_us\": {overhead_us:.0}}}{comma}\n",
-            r.offered_rps,
-            r.requests,
-            r.completed,
-            r.rejected,
-            r.drop_rate,
-            r.deadline_violations,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.mean_us,
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"scenario_note\": \"quality-gated A/B packs (seed {}): diversity on/off over \
          adversarial synthetic workloads, personalization on/off on the cold-start pack, \

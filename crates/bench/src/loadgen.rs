@@ -290,4 +290,60 @@ mod tests {
         let lows = picks.iter().filter(|&&p| p < 3).count();
         assert!(lows > 80, "skew missing: {lows}/200 low picks");
     }
+
+    /// A saturating schedule against a slowed server sheds load, and every
+    /// shed is an explicit rejection that the server's admission counter
+    /// also records: nothing is dropped silently on either side.
+    #[test]
+    fn saturated_schedule_sheds_only_through_admission() {
+        use pqsda_querylog::synth::{generate, SynthConfig};
+        use pqsda_serve::{FaultPlan, PartitionKey, ServeConfig, ShardedPqsDa};
+
+        let synth = generate(&SynthConfig::tiny(42));
+        let pool: Vec<SuggestRequest> = synth
+            .log
+            .records()
+            .iter()
+            .step_by(7)
+            .map(|r| SuggestRequest::simple(r.query, 8).for_user(r.user))
+            .collect();
+        let server = ShardedPqsDa::build(
+            &synth.log.entries(),
+            ServeConfig {
+                shards: 2,
+                key: PartitionKey::User,
+                coalesce: true,
+                ..ServeConfig::default()
+            },
+        );
+        // Every primary replica stalls 20 ms per probe, so the 4 dispatch
+        // workers serve at most ~200 req/s: 600 req/s is 3x capacity, and
+        // two requests in flight already project past the 25 ms deadline.
+        // (A 5 ms stall allows ~800 req/s, above the offered rate, and
+        // sheds only by chance.)
+        server.set_fault_plan(Some(
+            FaultPlan::new()
+                .with_slow_replica(0, 0, 20)
+                .with_slow_replica(1, 0, 20),
+        ));
+        // Feed the admission gate past its minimum sample count.
+        for req in pool.iter().take(12) {
+            let _ = server.suggest(req);
+        }
+        let cfg = OpenLoopConfig {
+            seed: 43,
+            offered_rps: 600.0,
+            requests: 150,
+            deadline_ms: 25,
+            threads: 0,
+        };
+        let report = run_open_loop(&server, &pool, &cfg);
+        assert_eq!(report.completed + report.rejected, cfg.requests as u64);
+        assert!(report.rejected > 0, "a saturating rate shed nothing");
+        assert_eq!(
+            server.stats().admission.shed,
+            report.rejected,
+            "the generator's rejections and the server's shed count disagree"
+        );
+    }
 }

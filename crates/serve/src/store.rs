@@ -19,7 +19,7 @@
 //! Restart = [`load_server`] (mmap the shards, digest-verified) +
 //! replay of the WAL batch-by-batch through the ordinary
 //! ingest/`apply_deltas` pipeline. The result is the same engine state
-//! a log-rebuild would produce — the CLI's `--snapshot-smoke` gate pins
+//! a log-rebuild would produce — `tests/snapshot_roundtrip.rs` pins
 //! reply bit-identity — at a fraction of the cold-start cost (the
 //! `cold_start_mmap` vs `cold_start_rebuild` rows in `BENCH_perf.json`).
 

@@ -6,7 +6,7 @@
 use pqsda_baselines::SuggestRequest;
 use pqsda_querylog::synth::{generate, SynthConfig};
 use pqsda_querylog::{LogEntry, UserId};
-use pqsda_serve::store::{load_server, save_server, shard_file, Snapshotter};
+use pqsda_serve::store::{load_server, save_server, shard_file, Snapshotter, WAL_FILE};
 use pqsda_serve::{ServeConfig, ServeReply, ShardedPqsDa};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -127,7 +127,8 @@ proptest! {
 }
 
 /// The snapshotter WAL-logs every applied batch; a restart that loads
-/// snapshot + WAL lands exactly where the live server is.
+/// snapshot + WAL lands exactly where the live server is, also when a
+/// crash mid-append left a torn frame at the end of the WAL.
 #[test]
 fn wal_replay_reaches_the_live_state() {
     let dir = tmp_dir("wal-replay");
@@ -160,6 +161,20 @@ fn wal_replay_reaches_the_live_state() {
         .find_query("snapshot delta 0")
         .expect("delta interned");
     assert_eq!(loaded.find_query("snapshot delta 0"), Some(q));
+
+    // A torn tail (a frame cut off after its magic) is dropped; the two
+    // whole batches before it still replay to the live state.
+    let wal_path = dir.join(WAL_FILE);
+    let mut wal = std::fs::read(&wal_path).unwrap();
+    wal.extend_from_slice(b"FRAMtorn");
+    std::fs::write(&wal_path, &wal).unwrap();
+    let (torn, report) = load_server(&dir, ServeConfig::default(), true).expect("torn-tail load");
+    assert_eq!(report.wal_batches_replayed, 2);
+    assert_eq!(report.wal_entries_replayed, 6);
+    assert!(report.wal_dropped_bytes > 0, "torn tail not dropped");
+    for req in &reqs {
+        assert_replies_equal(&torn.suggest(req), &server.suggest(req), "torn tail");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

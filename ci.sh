@@ -10,8 +10,9 @@ cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # Kernel bit-identity across thread counts and the in-run ratio gates
-# (hitting sweep, memo miss and hit, gather overhead, delta apply, mmap
-# cold start) at a minimal time budget; the module doc of
+# (hitting sweep at <= 1.2x its SpMV floor, memo miss and hit, gather
+# overhead, delta apply, mmap cold start; each the median of 101
+# alternating pairs) at a minimal time budget; the module doc of
 # crates/bench/src/bin/perf.rs lists each gate. Writes no BENCH_perf.json.
 cargo run --release -q -p pqsda-bench --bin perf -- --smoke
 # Real `pqsda shard-server` child processes over UDS (DESIGN.md §8.1, §15).

@@ -18,11 +18,12 @@ use pqsda_linalg::csr::CsrMatrix;
 use pqsda_parallel::{effective_threads, sweep_iterate_staged};
 
 /// Work gate for the parallel hitting-time sweep, per thread. One sweep step
-/// reads every layer's nonzeros once and touches each of the `3q` states
-/// once, so `nnz + 3q` is the step's work. A step pays two barriers, so the
-/// gate is three times the single-barrier kernels' 16 384: at the serving
-/// shape (512 queries, 30–50k nonzeros) a second participant saved nothing
-/// on a 2-vCPU host.
+/// reads every layer's nonzeros once and writes each of the `d·q` states
+/// once (`d` distinct rows of `N`, see `CrossBipartiteWalk::rows`), so
+/// `nnz + d·q` is the step's work. A step pays two barriers, so the gate is
+/// three times the single-barrier kernels' 16 384: at the serving shape
+/// (512 queries, 30–50k nonzeros) a second participant saved nothing on a
+/// 2-vCPU host.
 const MIN_WORK_PER_THREAD: usize = 49_152;
 
 /// A cross-bipartite walker over a compact representation.
@@ -37,7 +38,15 @@ pub struct CrossBipartiteWalk {
     slack: [Vec<f64>; 3],
     /// Cross-bipartite transition `N` (shared by all queries; the paper
     /// uses equal weights absent prior knowledge). `n[i][j] = p(X_j|X_i)`.
+    /// Kept as given, so the oracle tests read the matrix the caller
+    /// passed, not one rebuilt from the groups below.
     n: [[f64; 3]; 3],
+    /// The `d ∈ {1, 2, 3}` distinct rows of `N` (compared bit for bit), in
+    /// order of first appearance. The uniform and mass-weighted walks have
+    /// one.
+    rows: Vec<[f64; 3]>,
+    /// `group[x]`: the index in `rows` of start bipartite `x`'s row of `N`.
+    group: [usize; 3],
     num_queries: usize,
 }
 
@@ -102,10 +111,24 @@ impl CrossBipartiteWalk {
                 })
                 .collect()
         });
+        let mut group = [0; 3];
+        let mut rows: Vec<[f64; 3]> = Vec::with_capacity(3);
+        for (x, row) in n.iter().enumerate() {
+            let bits = row.map(f64::to_bits);
+            group[x] = match rows.iter().position(|r| r.map(f64::to_bits) == bits) {
+                Some(g) => g,
+                None => {
+                    rows.push(*row);
+                    rows.len() - 1
+                }
+            };
+        }
         CrossBipartiteWalk {
             transitions,
             slack,
             n,
+            rows,
+            group,
             num_queries: compact.len(),
         }
     }
@@ -123,6 +146,12 @@ impl CrossBipartiteWalk {
     /// The cross-bipartite transition `N` (`n[x][y] = p(X_y | X_x)`).
     pub fn cross_matrix(&self) -> [[f64; 3]; 3] {
         self.n
+    }
+
+    /// Number of hitting-time vectors a sweep carries: one per distinct
+    /// row of `N`.
+    pub(crate) fn state_vectors(&self) -> usize {
+        self.rows.len()
     }
 
     /// Truncated expected hitting time from every query to the target set
@@ -143,22 +172,33 @@ impl CrossBipartiteWalk {
     /// [`CrossBipartiteWalk::hitting_time`] with an explicit thread count
     /// (`0` = auto).
     ///
-    /// The augmented chain has `3q` states (state `x·q + i` = bipartite
-    /// `x`, query `i`) and transitions `P[(x,i)→(y,j)] = N[x][y]·P^y[i,j]`,
-    /// so one step is `h'(x,i) = 1 + Σ_y N[x][y]·g_y(i)` with `g_y(i) =
-    /// Σ_j P^y[i,j]·h(y,j)` (plus the row's slack `(1 − mass)·h(y,i)`).
-    /// `g_y(i)` does not depend on `x`, so each step runs in two phases:
-    /// phase 1 computes all `3q` values of `g` in one pass over each
-    /// layer's rows (two rows at a time, see `layer_moves`), phase 2
-    /// combines them per state. A step therefore costs one pass over every
-    /// layer's nonzeros plus `O(q)`, not three.
+    /// The augmented chain has `3q` states `(x, i)` = (bipartite `x`, query
+    /// `i`) and transitions `P[(x,i)→(y,j)] = N[x][y]·P^y[i,j]`, so one
+    /// step is `h'(x,i) = 1 + Σ_y N[x][y]·g_y(i)` with `g_y(i) = Σ_j
+    /// P^y[i,j]·h(y,j)` (plus the row's slack `(1 − mass)·h(y,i)`).
+    ///
+    /// Start bipartites whose rows of `N` are bitwise equal see the same
+    /// f64 operations on the same `g` values at every step, so their `h`
+    /// vectors are bit-identical: the sweep keeps one vector per distinct
+    /// row (`d` of them, one for the uniform and mass-weighted walks), and
+    /// layer `y` reads the vector of `y`'s group. `g_y(i)` does not depend
+    /// on `x`, so each step runs in two phases: phase 1 computes all `3q`
+    /// values of `g` in one pass over each layer's rows (two rows at a
+    /// time, see `layer_moves`), phase 2 combines them per `(group,
+    /// query)` state. A step therefore costs one pass over every layer's
+    /// nonzeros plus `O(d·q)`.
+    ///
+    /// Step 1 starts from `h = 0`, where every product is `+0.0`, so it is
+    /// written directly: `1.0` off the targets and `0.0` on them.
     ///
     /// Every state's value goes through the same f64 operations in the
-    /// same order as a per-state loop that recomputes `g_y(i)` for each
-    /// `x`: the row product in column order, then the slack, then the
-    /// `N`-weighted sum over `y = 0..2` skipping zero weights. Only where
-    /// and when `g_y(i)` is computed changes, not how, so the bits do not.
-    /// Both phases split their indices across the participants of one
+    /// same order as a per-state loop over all `3q` states that recomputes
+    /// `g_y(i)` for each `x`: the row product in column order, then the
+    /// slack, then the `N`-weighted sum over `y = 0..2` skipping zero
+    /// weights; the returned average adds the three start bipartites'
+    /// values in order `x = 0, 1, 2`. Only where, when and how often each
+    /// value is computed changes, not how, so the bits do not. Both phases
+    /// split their indices across the participants of one
     /// barrier-synchronized region spanning the whole horizon (see
     /// [`pqsda_parallel::sweep_iterate_staged`]), so results are
     /// bit-identical for any `threads`.
@@ -178,7 +218,7 @@ impl CrossBipartiteWalk {
     /// caller-owned buffers, so repeated evaluations (e.g. the greedy
     /// selection loop of Algorithm 1, which re-solves with a growing target
     /// set every round) reuse their allocations instead of re-allocating
-    /// `3q`-sized vectors per round. Results are identical to
+    /// state vectors per round. Results are identical to
     /// [`CrossBipartiteWalk::hitting_time`].
     pub fn hitting_time_into(
         &self,
@@ -196,20 +236,30 @@ impl CrossBipartiteWalk {
             assert!(t < q, "hitting_time: target {t} out of range");
             scratch.in_target[t] = true;
         }
-        let work = self.transitions.iter().map(|t| t.nnz()).sum::<usize>() + 3 * q;
+        let (d, group) = (self.state_vectors(), self.group);
+        let work = self.transitions.iter().map(|t| t.nnz()).sum::<usize>() + d * q;
         let threads = effective_threads(threads, work, MIN_WORK_PER_THREAD);
-        // h[x*q + i]: hitting time from state (bipartite x, query i).
+        // h[g*q + i]: hitting time from query i in a bipartite of group g,
+        // after step 1 (or 0.0 everywhere at horizon 0).
         // g[y*q + i]: expected `h` after one move inside layer y from i.
-        for buf in [&mut scratch.h, &mut scratch.next, &mut scratch.g] {
-            buf.clear();
-            buf.resize(3 * q, 0.0);
-        }
         let in_target = &scratch.in_target;
+        scratch.h.clear();
+        scratch.h.extend((0..d * q).map(|s| {
+            if horizon > 0 && !in_target[s % q] {
+                1.0
+            } else {
+                0.0
+            }
+        }));
+        scratch.next.clear();
+        scratch.next.resize(d * q, 0.0);
+        scratch.g.clear();
+        scratch.g.resize(3 * q, 0.0);
         sweep_iterate_staged(
             &mut scratch.h,
             &mut scratch.next,
             &mut scratch.g,
-            horizon,
+            horizon.saturating_sub(1),
             threads,
             // Phase 1: one pass over each layer's rows; a chunk may span
             // a layer boundary.
@@ -218,25 +268,27 @@ impl CrossBipartiteWalk {
                     let (y, i) = (k / q, k % q);
                     let len = chunk.len().min(q - i);
                     let (part, rest) = std::mem::take(&mut chunk).split_at_mut(len);
+                    let from = group[y] * q;
                     layer_moves(
                         &self.transitions[y],
                         &self.slack[y],
-                        &h[y * q..(y + 1) * q],
+                        &h[from..from + q],
                         i,
                         part,
                     );
                     (chunk, k) = (rest, k + len);
                 }
             },
-            // Phase 2: teleport to bipartite y with probability N[x][y],
-            // then take layer y's move.
+            // Phase 2: teleport to bipartite y with probability N[x][y]
+            // (x any bipartite of the state's group r), then take layer
+            // y's move.
             |s, g| {
-                let (x, i) = (s / q, s % q);
+                let (r, i) = (s / q, s % q);
                 if in_target[i] {
                     return 0.0;
                 }
                 let mut acc = 0.0;
-                for (y, &p_y) in self.n[x].iter().enumerate() {
+                for (y, &p_y) in self.rows[r].iter().enumerate() {
                     if p_y == 0.0 {
                         continue;
                     }
@@ -247,7 +299,8 @@ impl CrossBipartiteWalk {
         );
         out.clear();
         let h = &scratch.h;
-        out.extend((0..q).map(|i| (h[i] + h[q + i] + h[2 * q + i]) / 3.0));
+        let [a, b, c] = group.map(|g| &h[g * q..(g + 1) * q]);
+        out.extend((0..q).map(|i| (a[i] + b[i] + c[i]) / 3.0));
     }
 }
 
@@ -389,6 +442,18 @@ mod tests {
         for i in 0..c.len() {
             assert!(h2[i] <= h1[i] + 1e-9);
         }
+    }
+
+    #[test]
+    fn one_vector_per_distinct_cross_row() {
+        let (_, c) = compact();
+        assert_eq!(CrossBipartiteWalk::uniform(&c).state_vectors(), 1);
+        assert_eq!(CrossBipartiteWalk::mass_weighted(&c).state_vectors(), 1);
+        let (a, b) = ([0.5, 0.25, 0.25], [0.0, 0.25, 0.75]);
+        let two = CrossBipartiteWalk::with_cross_matrix(&c, [a, b, a]);
+        assert_eq!((two.state_vectors(), two.group), (2, [0, 1, 0]));
+        let three = CrossBipartiteWalk::with_cross_matrix(&c, [b, a, [0.0, 1.0, 0.0]]);
+        assert_eq!((three.state_vectors(), three.group), (3, [0, 1, 2]));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! The reference's hitting time is frozen too: `frozen_hitting_time` is
 //! the per-state `3q` sweep of Eq. 17 as it shipped before the two-phase
 //! kernel, and a property test pins `hitting_time_into` to it bit for bit
-//! over uniform, mass-weighted and random cross matrices at threads
-//! {1, 2, 4}.
+//! over uniform, mass-weighted, two- and three-distinct-row and random
+//! cross matrices at threads {1, 2, 4}.
 //!
 //! So are the memo-miss layers the reference builds on: `frozen_expand`
 //! is compact expansion with its per-round `HashMap` accumulator,
@@ -438,7 +438,11 @@ fn cross_matrix_from(weights: &[Vec<u8>]) -> [[f64; 3]; 3] {
 /// The live kernel against [`frozen_hitting_time`] on every walk kind,
 /// horizons {0, 1, 2, 20}, and threads {1, 2, 4}, with `targets` (indices
 /// taken modulo each walk's size, duplicates kept) and one scratch reused
-/// across all walks, whatever their size. Returns the first mismatch.
+/// across all walks, whatever their size. Besides the uniform and
+/// mass-weighted walks (one distinct row of `N`) and the given `cross`,
+/// two fixed matrices with exactly two and three distinct rows pin every
+/// count of state vectors the kernel can carry. Returns the first
+/// mismatch.
 fn kernel_mismatch(
     compacts: &[CompactMulti],
     cross: [[f64; 3]; 3],
@@ -453,6 +457,20 @@ fn kernel_mismatch(
             (
                 "cross",
                 CrossBipartiteWalk::with_cross_matrix(compact, cross),
+            ),
+            (
+                "two_rows",
+                CrossBipartiteWalk::with_cross_matrix(
+                    compact,
+                    cross_matrix_from(&[vec![2, 1, 1], vec![0, 1, 3], vec![2, 1, 1]]),
+                ),
+            ),
+            (
+                "three_rows",
+                CrossBipartiteWalk::with_cross_matrix(
+                    compact,
+                    cross_matrix_from(&[vec![1, 2, 1], vec![3, 0, 1], vec![1, 1, 2]]),
+                ),
             ),
         ];
         let q = compact.len();
@@ -483,7 +501,8 @@ fn kernel_mismatch(
 
 /// The property test's walks are small enough that the work gate keeps
 /// every thread count serial; this one is past it (≥ 4 × 49 152 units of
-/// work), so on a multi-core host threads 2 and 4 run the barrier region.
+/// work, `nnz + d·q` with `d` = 1 for the uniform walk and more for the
+/// others), so on a multi-core host threads 2 and 4 run the barrier region.
 #[test]
 fn hitting_time_kernel_matches_frozen_sweep_past_the_work_gate() {
     let s = generate(&SynthConfig::default());
@@ -499,7 +518,7 @@ fn hitting_time_kernel_matches_frozen_sweep_past_the_work_gate() {
         .iter()
         .map(|&kind| walk.layer(kind).nnz())
         .sum::<usize>()
-        + 3 * compact.len();
+        + compact.len();
     assert!(work >= 4 * 49_152, "walk too small to split: {work}");
     let cross = cross_matrix_from(&[vec![2, 0, 1], vec![1, 1, 1], vec![0, 0, 3]]);
     let mut scratch = HittingTimeScratch::default();
